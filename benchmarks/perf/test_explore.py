@@ -9,8 +9,9 @@ Acceptance (ISSUE 10):
 * ``explore_sizing`` ends no worse than the greedy ``size_gates``
   reference — lexicographic (timing violation, area) — on every
   OpenCores design at the default budget;
-* chains are bit-identical across ``REPRO_EXPLORE`` scoring modes and
-  across the thread and process backends.
+* chains are bit-identical to the same walk scored by committing,
+  measuring and reverting each move set on the scalar reference engine
+  (``tests/oracles``), and across the thread and process backends.
 
 ``REPRO_BENCH_EXPLORE_BUDGET`` shrinks the per-chain trial budget for
 CI smoke runs (default 240 = the explorer's own default).
@@ -18,7 +19,6 @@ CI smoke runs (default 240 = the explorer's own default).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 
@@ -30,6 +30,7 @@ from repro.synth.explore import ExploreConfig, anneal_chain, explore_sizing, run
 from repro.synth.optimizer import size_gates
 from repro.synth.passes import sizing_neighbors
 from repro.synth.techmap import map_to_library
+from tests.oracles.passes import scalar_context
 
 LIBRARY = nangate45()
 WIRELOAD = get_wireload("5K_heavy_1k")
@@ -169,20 +170,21 @@ def test_explore_qor_no_worse_than_greedy(bench_results):
 
 
 def test_explore_bit_identical_across_modes(bench_results):
-    """Scoring mode and pool backend never change the walk."""
+    """Scoring path and pool backend never change the walk."""
     netlist, constraints = _mapped("aes", scale=0.9)
-    config = ExploreConfig(
-        budget=min(BUDGET, 60), chains=2, seed=13, grouped=True
-    )
+    config = ExploreConfig(budget=min(BUDGET, 60), chains=2, seed=13)
 
     grouped = anneal_chain(
         netlist.clone(), LIBRARY, WIRELOAD, constraints, config
     )
-    fallback = anneal_chain(
-        netlist.clone(), LIBRARY, WIRELOAD, constraints,
-        dataclasses.replace(config, grouped=False),
+    reference_netlist = netlist.clone()
+    reference = anneal_chain(
+        reference_netlist, LIBRARY, WIRELOAD, constraints, config,
+        context=scalar_context(
+            reference_netlist, LIBRARY, WIRELOAD, constraints
+        ),
     )
-    assert dataclasses.replace(grouped, grouped=False) == fallback
+    assert grouped == reference
 
     backends = {}
     for backend in ("thread", "process"):
@@ -199,7 +201,7 @@ def test_explore_bit_identical_across_modes(bench_results):
         "design": "aes",
         "budget": config.budget,
         "chains": config.chains,
-        "grouped_equals_fallback": True,
+        "grouped_equals_committed_reference": True,
         "thread_equals_process": True,
         "accepted": grouped.accepted,
     }

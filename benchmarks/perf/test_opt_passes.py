@@ -1,14 +1,14 @@
-"""Batched pass-engine flow vs the scalar per-trial fallback.
+"""Batched pass-engine flow vs the scalar per-trial reference loops.
 
 Acceptance (ISSUE 5): on a timing-closure pass flow (two wide sizing
-scans around an area-recovery step, all sharing one PassContext), fast
-mode (``REPRO_FAST_OPT=1`` — batched ``trial_cps_batch`` sweeps) must
-beat the scalar fallback (per-trial ``analyze``) by >= 3x wall-clock on
-its best design, stay within noise of scalar on the accept-heavy worst
-case, and the full ``analyze()``/incremental-fold count per flow must
-drop.  Both
-arms are asserted bit-identical first: same pass results, same final
-netlist fingerprint.
+scans around an area-recovery step, all sharing one PassContext), the
+production passes (batched ``trial_cps_batch`` sweeps) must beat the
+reference loops in ``tests/oracles/passes`` (per-trial ``analyze`` on
+the same SoA engine) by >= 3x wall-clock on its best design, stay within
+noise of them on the accept-heavy worst case, and the full
+``analyze()``/incremental-fold count per flow must drop.  Both arms are
+asserted bit-identical first: same pass results, same final netlist
+fingerprint.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.synth import Constraints, get_wireload, nangate45
 from repro.synth.optimizer import recover_area, size_gates
 from repro.synth.passes import PassContext
 from repro.synth.techmap import map_to_library
+from tests.oracles import passes as scalar_passes
 
 LIBRARY = nangate45()
 WIRELOAD = get_wireload("5K_heavy_1k")
@@ -41,20 +42,24 @@ def _flow(name, scale, fast):
     constraints = Constraints(
         clock_period=bench.clock_period * scale, max_fanout=24, max_area=0.0
     )
-    context = PassContext(netlist, LIBRARY, WIRELOAD, constraints, fast=fast)
+    context = PassContext(netlist, LIBRARY, WIRELOAD, constraints)
     context.engine.analyze()  # warm: one-time lowering + full STA
+    if fast:
+        sizing, recovery = size_gates, recover_area
+    else:
+        sizing, recovery = scalar_passes.size_gates, scalar_passes.recover_area
     perf.reset()
     start = time.perf_counter()
     results = [
-        size_gates(
+        sizing(
             netlist, LIBRARY, WIRELOAD, constraints,
             max_rounds=60, scan=64, context=context,
         ),
-        recover_area(
+        recovery(
             netlist, LIBRARY, WIRELOAD, constraints,
             slack_margin=-10.0, context=context,
         ),
-        size_gates(
+        sizing(
             netlist, LIBRARY, WIRELOAD, constraints,
             max_rounds=30, scan=64, context=context,
         ),

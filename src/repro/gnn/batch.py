@@ -61,9 +61,6 @@ Batched results are *bit-exact* against the scalar path, by construction:
 ``tests/gnn/test_batch_parity.py`` enforces the contract with hypothesis
 over random graphs and over the seven OpenCores designs.
 
-Set ``REPRO_BATCH_GNN=0`` to fall back to the scalar per-graph path
-everywhere (the batched engine is the default).
-
 On top of the engine sits a **model-version-keyed embedding cache**:
 ``GraphSAGE.embed_graphs`` memoizes pooled graph embeddings keyed by
 ``(model, model.version, graph)``.  ``load_state_dict`` and optimizer
@@ -88,7 +85,6 @@ from .graph import GraphData
 from .layers import LayerCache
 
 __all__ = [
-    "batch_gnn_enabled",
     "embed_cache_enabled",
     "accumulation_order",
     "GraphBatch",
@@ -104,11 +100,6 @@ __all__ = [
 
 _FALSY = ("0", "false", "no", "off")
 _clock = time.perf_counter
-
-
-def batch_gnn_enabled() -> bool:
-    """Whether the batched engine is active (``REPRO_BATCH_GNN``, default on)."""
-    return os.environ.get("REPRO_BATCH_GNN", "1").lower() not in _FALSY
 
 
 def embed_cache_enabled() -> bool:
@@ -835,10 +826,10 @@ perf.register_stats_provider("gnn_embed", embedding_cache.stats)
 
 
 def embed_graphs_cached(model, graphs: list[GraphData]) -> np.ndarray:
-    """Embed ``graphs`` through the cache and the active engine.
+    """Embed ``graphs`` through the cache and the batched engine.
 
-    Both engine modes produce bit-identical embeddings (the parity
-    contract above), so cached entries are valid across mode switches.
+    Rows are bit-identical to ``model.embed_graph`` per graph (the
+    parity contract above).
     """
     if not graphs:
         return np.empty((0, model.embedding_dim))
@@ -846,13 +837,9 @@ def embed_graphs_cached(model, graphs: list[GraphData]) -> np.ndarray:
     if not use_cache:
         # No cache to consult or fill: embed the list directly.  Duplicate
         # objects just occupy two batch slots and come out bit-identical
-        # (each graph's slice is computed independently), exactly as the
-        # scalar loop would embed them twice.
-        if batch_gnn_enabled():
-            fresh, _ = batched_forward(model, pack_graphs(graphs), keep_state=False)
-            return fresh
-        perf.incr("gnn.scalar_graphs", len(graphs))
-        return np.vstack([model.embed_graph(g) for g in graphs])
+        # (each graph's slice is computed independently).
+        fresh, _ = batched_forward(model, pack_graphs(graphs), keep_state=False)
+        return fresh
     out = np.empty((len(graphs), model.embedding_dim))
     missing: list[int] = []
     duplicates: list[tuple[int, int]] = []
@@ -868,11 +855,7 @@ def embed_graphs_cached(model, graphs: list[GraphData]) -> np.ndarray:
             missing.append(pos)
     if missing:
         todo = [graphs[pos] for pos in missing]
-        if batch_gnn_enabled():
-            fresh, _ = batched_forward(model, pack_graphs(todo), keep_state=False)
-        else:
-            perf.incr("gnn.scalar_graphs", len(todo))
-            fresh = np.vstack([model.embed_graph(g) for g in todo])
+        fresh, _ = batched_forward(model, pack_graphs(todo), keep_state=False)
         out[missing] = fresh
         for row, pos in enumerate(missing):
             embedding_cache.put(model, graphs[pos], fresh[row])

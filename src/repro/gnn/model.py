@@ -7,10 +7,9 @@ the design-level embedding is the mean of its module embeddings
 degenerate case.
 
 Multi-graph embedding goes through the batched engine
-(:mod:`repro.gnn.batch`) by default — one disjoint-union forward instead
-of a Python loop — with a per-graph, model-version-keyed embedding cache
-in front.  ``REPRO_BATCH_GNN=0`` restores the per-graph fallback; both
-paths are bit-exact.
+(:mod:`repro.gnn.batch`) — one disjoint-union forward instead of a Python
+loop, bit-exact with a loop of :meth:`GraphSAGE.embed_graph` calls — with
+a per-graph, model-version-keyed embedding cache in front.
 """
 
 from __future__ import annotations
@@ -141,9 +140,8 @@ class GraphSAGE:
     def embed_graphs(self, graphs: list[GraphData]) -> np.ndarray:
         """Stack graph embeddings, shape (len(graphs), embedding_dim).
 
-        Runs the batched engine (unless ``REPRO_BATCH_GNN=0``) behind the
-        versioned embedding cache; results are bit-exact with a loop of
-        :meth:`embed_graph` calls either way.
+        Runs the batched engine behind the versioned embedding cache;
+        results are bit-exact with a loop of :meth:`embed_graph` calls.
         """
         if type(graphs) is not list:
             graphs = list(graphs)

@@ -210,6 +210,14 @@ class _CypherParser:
             raise CypherError(f"expected {value or kind}, got {v!r}")
         return result
 
+    def expect_int(self) -> int:
+        """An integer literal (LIMIT, path-length bounds)."""
+        value = self.expect("NUMBER")
+        try:
+            return int(value)
+        except ValueError:
+            raise CypherError(f"expected an integer, got {value!r}") from None
+
     def expect_name(self) -> str:
         """A name position also admits keywords (labels like CONTAINS)."""
         kind, value = self.peek()
@@ -245,7 +253,7 @@ class _CypherParser:
                     if not self.accept("OP", ","):
                         break
             if self.accept("KW", "LIMIT"):
-                query.limit = int(self.expect("NUMBER"))
+                query.limit = self.expect_int()
             self.expect("EOF")
             return query
         if self.accept("KW", "CREATE"):
@@ -292,9 +300,9 @@ class _CypherParser:
                 rel.rel_type = self.expect_name()
             if self.accept("OP", "*"):
                 if self.peek()[0] == "NUMBER":
-                    rel.min_hops = int(self.expect("NUMBER"))
+                    rel.min_hops = self.expect_int()
                     if self.accept("OP", ".."):
-                        rel.max_hops = int(self.expect("NUMBER"))
+                        rel.max_hops = self.expect_int()
                     else:
                         rel.max_hops = rel.min_hops
                 else:

@@ -831,7 +831,9 @@ class Elaborator:
         out: dict[str, list[str]],
         scope: _Scope,
     ) -> None:
-        for name in set(then_env) | set(else_env):
+        # dict union keeps first-write order; set order would follow the
+        # string hash seed and reorder the emitted mux cells run to run.
+        for name in then_env | else_env:
             # A branch that did not write keeps the signal's prior value.
             t = then_env.get(name) or self._signal_bits(scope, name)
             e = else_env.get(name) or self._signal_bits(scope, name)
@@ -851,7 +853,7 @@ class Elaborator:
         out: dict[str, list[list[str]]],
         scope: _Scope,
     ) -> None:
-        for name in set(then_arrays) | set(else_arrays):
+        for name in then_arrays | else_arrays:
             t = then_arrays.get(name) or self._array_words(scope, name)
             e = else_arrays.get(name) or self._array_words(scope, name)
             merged = []

@@ -65,6 +65,34 @@ class NetlistError(ValueError):
     """Raised for structurally invalid netlist operations."""
 
 
+class SinkSet(dict):
+    """Insertion-ordered set of a net's reader cell names.
+
+    A plain ``set`` of strings iterates in string-hash order, which
+    changes with ``PYTHONHASHSEED``.  Net loads accumulate pin caps in
+    sink order and the cleanup passes rewire readers in sink order, so
+    that order must be a function of the edit sequence alone.
+    """
+
+    __slots__ = ()
+
+    def add(self, name: str) -> None:
+        self[name] = None
+
+    def discard(self, name: str) -> None:
+        self.pop(name, None)
+
+    def __eq__(self, other):
+        if isinstance(other, (set, frozenset)):
+            return self.keys() == other
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None
+
+
 class Net:
     """A single-bit net (slotted: netlists hold hundreds of thousands)."""
 
@@ -75,7 +103,7 @@ class Net:
         name: str,
         uid: int,
         driver: str | None = None,
-        sinks: set[str] | None = None,
+        sinks: SinkSet | None = None,
         is_input: bool = False,
         is_output: bool = False,
         is_clock: bool = False,
@@ -83,7 +111,7 @@ class Net:
         self.name = name
         self.uid = uid
         self.driver = driver  # cell name, or None for primary inputs
-        self.sinks: set[str] = sinks if sinks is not None else set()
+        self.sinks = sinks if sinks is not None else SinkSet()
         self.is_input = is_input
         self.is_output = is_output
         self.is_clock = is_clock
@@ -478,7 +506,7 @@ class Netlist:
             copy.name = net.name
             copy.uid = net.uid
             copy.driver = net.driver
-            copy.sinks = set(net.sinks)
+            copy.sinks = SinkSet(net.sinks)
             copy.is_input = net.is_input
             copy.is_output = net.is_output
             copy.is_clock = net.is_clock

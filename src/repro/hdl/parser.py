@@ -81,23 +81,30 @@ _UNARY_OPS = frozenset({"~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"})
 
 
 def parse_number(text: str) -> Number:
-    """Parse a Verilog numeric literal string into a :class:`Number`."""
+    """Parse a Verilog numeric literal string into a :class:`Number`.
+
+    Raises :class:`ParseError` when a digit lies outside the literal's
+    base (``8'b102``) or the text is not a literal at all.
+    """
     raw = text.replace("_", "")
-    if "'" not in raw:
-        if "." in raw:
-            return Number(value=int(float(raw)), width=None, base="d", text=text)
-        return Number(value=int(raw), width=None, base="d", text=text)
-    size_part, rest = raw.split("'", 1)
-    width = int(size_part) if size_part else None
-    if rest and rest[0] in "sS":
-        rest = rest[1:]
-    base_ch = rest[0].lower() if rest and rest[0].lower() in "bodh" else "d"
-    digits = rest[1:] if rest and rest[0].lower() in "bodh" else rest
-    digits = digits.replace("?", "x")
-    base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_ch]
-    # Treat x/z bits as 0 for elaboration purposes.
-    clean = "".join("0" if c in "xXzZ" else c for c in digits) or "0"
-    return Number(value=int(clean, base), width=width, base=base_ch, text=text)
+    try:
+        if "'" not in raw:
+            if "." in raw:
+                return Number(value=int(float(raw)), width=None, base="d", text=text)
+            return Number(value=int(raw), width=None, base="d", text=text)
+        size_part, rest = raw.split("'", 1)
+        width = int(size_part) if size_part else None
+        if rest and rest[0] in "sS":
+            rest = rest[1:]
+        base_ch = rest[0].lower() if rest and rest[0].lower() in "bodh" else "d"
+        digits = rest[1:] if rest and rest[0].lower() in "bodh" else rest
+        digits = digits.replace("?", "x")
+        base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_ch]
+        # Treat x/z bits as 0 for elaboration purposes.
+        clean = "".join("0" if c in "xXzZ" else c for c in digits) or "0"
+        return Number(value=int(clean, base), width=width, base=base_ch, text=text)
+    except ValueError:
+        raise ParseError(f"malformed number literal {text!r}") from None
 
 
 class _Parser:
@@ -558,7 +565,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.pos += 1
-            num = parse_number(tok.value)
+            try:
+                num = parse_number(tok.value)
+            except ParseError as exc:
+                raise ParseError(f"{exc} at line {tok.line}:{tok.col}") from None
             num.line = tok.line
             return num
         if tok.kind == "ID":

@@ -8,11 +8,10 @@ numpy GNN can backprop without autograd.
 
 The batch losses and :func:`clustering_quality` are full-matrix numpy —
 one pairwise-similarity matmul plus masked reductions, no inner Python
-loops.  :class:`MetricTrainer` epochs run through the batched GNN engine
-(one disjoint-union forward/backward per step instead of per-graph
-re-forwards) when ``REPRO_BATCH_GNN`` is on; the scalar per-graph path is
-retained and produces bit-identical training trajectories (see
-``tests/mentor/test_metric_learning.py``).
+loops.  :class:`MetricTrainer` picks one GNN path per loss, by what
+measures faster: multi-similarity epochs run one disjoint-union
+forward/backward through the batched engine, while contrastive steps —
+two graphs each, too small to amortize batch packing — run per graph.
 """
 
 from __future__ import annotations
@@ -21,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gnn import (
-    Adam,
-    GraphData,
-    accumulation_order,
-    batch_gnn_enabled,
-    pack_graphs,
-    release_state,
-)
+from ..gnn import Adam, GraphData, pack_graphs
 from .embeddings import CircuitEncoder
 
 __all__ = [
@@ -91,41 +83,6 @@ def multi_similarity_loss(
     grad_sims = exp_neg / (1.0 + neg_sum)[:, None] - exp_pos / (1.0 + pos_sum)[:, None]
     grad = (grad_sims + grad_sims.T) @ embeddings
     return loss, grad
-
-
-def _multi_similarity_loss_loop(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    alpha: float = 2.0,
-    beta: float = 10.0,
-    base: float = 0.5,
-) -> tuple[float, np.ndarray]:
-    """Reference O(n^2)-Python implementation of the multi-similarity loss.
-
-    Kept for the vectorization benchmark and as an oracle in tests; not
-    used on any production path.
-    """
-    n = len(embeddings)
-    sims = embeddings @ embeddings.T
-    loss = 0.0
-    grad_sims = np.zeros_like(sims)
-    for i in range(n):
-        pos = [j for j in range(n) if j != i and labels[j] == labels[i]]
-        neg = [j for j in range(n) if labels[j] != labels[i]]
-        if pos:
-            exp_pos = np.array([np.exp(-alpha * (sims[i, j] - base)) for j in pos])
-            loss += np.log1p(exp_pos.sum()) / alpha
-            coeff = -exp_pos / (1.0 + exp_pos.sum())
-            for j, c in zip(pos, coeff):
-                grad_sims[i, j] += c
-        if neg:
-            exp_neg = np.array([np.exp(beta * (sims[i, j] - base)) for j in neg])
-            loss += np.log1p(exp_neg.sum()) / beta
-            coeff = exp_neg / (1.0 + exp_neg.sum())
-            for j, c in zip(neg, coeff):
-                grad_sims[i, j] += c
-    grad = (grad_sims + grad_sims.T) @ embeddings
-    return float(loss), grad
 
 
 def n_pair_loss(
@@ -196,12 +153,10 @@ def _normalization_grad(
 class MetricTrainer:
     """Trains a :class:`CircuitEncoder` with metric-learning losses.
 
-    Epochs run through the batched GNN engine by default (one
-    disjoint-union forward + backward per optimizer step); with
-    ``REPRO_BATCH_GNN=0`` the original per-graph loop runs instead.  Both
-    modes consume the RNG identically and accumulate gradients in the
-    same graph order, so training is deterministic across modes: same
-    seed, same graphs → bit-identical losses and final weights.
+    Multi-similarity epochs run through the batched GNN engine (one
+    disjoint-union forward + backward per optimizer step); contrastive
+    pair steps run per graph.  Training is deterministic: same seed,
+    same graphs → bit-identical losses and final weights.
     """
 
     def __init__(
@@ -245,88 +200,54 @@ class MetricTrainer:
 
     def _contrastive_epoch(self, graphs, labels, num_pairs) -> float:
         model = self.encoder.model
-        batched = batch_gnn_enabled()
         total = 0.0
         for _ in range(num_pairs):
             i, j = self._sample_pair(labels)
             same = labels[i] == labels[j]
             model.zero_grad()
-            if batched:
-                # One two-graph forward; the retained state makes the
-                # backward free of re-forwards.
-                embeddings, state = model.forward_batch(
-                    pack_graphs([graphs[i], graphs[j]])
-                )
-                emb_i, emb_j = embeddings[0], embeddings[1]
-            else:
-                emb_i = model.embed_graph(graphs[i])
-                # Backprop for i must happen before the caches are overwritten
-                # by j's forward pass, so compute j's embedding first w/o grad,
-                # then redo i/j forward-backward separately.
-                emb_j = model.embed_graph(graphs[j])
+            emb_i = model.embed_graph(graphs[i])
+            # Backprop for i must happen before the caches are overwritten
+            # by j's forward pass, so compute j's embedding first w/o grad,
+            # then redo i/j forward-backward separately.
+            emb_j = model.embed_graph(graphs[j])
             loss, grad_i, grad_j = contrastive_loss(emb_i, emb_j, same, self.margin)
             if loss > 0:
-                if batched:
-                    model.backward_batch(state, np.vstack([grad_i, grad_j]))
-                else:
-                    model.embed_graph(graphs[i])
-                    model.backward_graph(grad_i)
-                    model.embed_graph(graphs[j])
-                    model.backward_graph(grad_j)
+                model.embed_graph(graphs[i])
+                model.backward_graph(grad_i)
+                model.embed_graph(graphs[j])
+                model.backward_graph(grad_j)
                 self.optimizer.step()
-            elif batched:
-                release_state(state)  # zero loss: no backward will consume it
             total += loss
         return total / num_pairs
 
     def _ms_epoch(self, graphs, labels, batch_size) -> float:
         model = self.encoder.model
-        batched = batch_gnn_enabled()
         idx = self.rng.choice(len(graphs), size=min(batch_size, len(graphs)), replace=False)
-        state = None
         full = len(idx) == len(graphs)
-        # Caller list the engine packs — and whose internal slot order the
-        # scalar fallback mirrors below.
+        # When the minibatch covers the whole corpus (it is just a
+        # shuffle), reuse the *canonical* memoized batch — re-packing a
+        # fresh permuted batch every epoch would defeat both the batch
+        # memo and the workspace pool.  Per-graph embeddings are
+        # batch-composition-independent (bit-exact parity), so selecting
+        # rows by ``idx`` equals forwarding the permuted batch directly.
         base = graphs if full else [graphs[i] for i in idx]
-        if batched:
-            # When the minibatch covers the whole corpus (it is just a
-            # shuffle), reuse the *canonical* memoized batch — re-packing
-            # a fresh permuted batch every epoch would defeat both the
-            # batch memo and the workspace pool.  Per-graph embeddings
-            # are batch-composition-independent (bit-exact parity), so
-            # selecting rows by ``idx`` equals forwarding the permuted
-            # batch directly.
-            all_emb, state = model.forward_batch(pack_graphs(base))
-            embeddings = all_emb[idx] if full else all_emb
-        else:
-            embeddings = np.vstack([model.embed_graph(graphs[i]) for i in idx])
+        all_emb, state = model.forward_batch(pack_graphs(base))
+        embeddings = all_emb[idx] if full else all_emb
         norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         normalized = embeddings / norms
         loss, grad_norm = multi_similarity_loss(normalized, labels[idx])
         grad_emb = _normalization_grad(grad_norm, normalized, norms)
         model.zero_grad()
-        # Both modes accumulate per-graph parameter gradients in the
-        # batch's internal slot order (stable size sort of ``base``): the
-        # engine reduces its gradient stacks in place with no gather, and
-        # the scalar loop iterates graphs in the identical order, keeping
-        # the two trajectories bit-exact.
-        if batched:
-            if full:
-                grad_all = np.empty_like(grad_emb)
-                grad_all[idx] = grad_emb
-                model.backward_batch(state, grad_all, order="slots")
-            else:
-                model.backward_batch(state, grad_emb, order="slots")
+        # Per-graph parameter gradients accumulate in the batch's internal
+        # slot order (stable size sort of ``base``): the engine reduces
+        # its gradient stacks in place with no gather.
+        if full:
+            grad_all = np.empty_like(grad_emb)
+            grad_all[idx] = grad_emb
+            model.backward_batch(state, grad_all, order="slots")
         else:
-            if full:
-                rows = np.empty(len(idx), dtype=np.intp)
-                rows[idx] = np.arange(len(idx))
-            else:
-                rows = np.arange(len(idx))
-            for c in accumulation_order([g.num_nodes for g in base]):
-                model.embed_graph(base[c])
-                model.backward_graph(grad_emb[rows[c]])
+            model.backward_batch(state, grad_emb, order="slots")
         self.optimizer.step()
         return loss
 

@@ -20,6 +20,7 @@ parallel evaluation executor hits it from worker threads).  Set
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import itertools
@@ -271,6 +272,8 @@ class FrontendCache:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, Netlist] = OrderedDict()
+        # key -> [lock, holders] for keys some caller is looking up
+        self._inflight: dict[str, list] = {}
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -278,6 +281,26 @@ class FrontendCache:
 
     def _disk_path(self, disk_dir: str, key: str) -> str:
         return os.path.join(disk_dir, f"{key}.netlist.pkl")
+
+    @contextlib.contextmanager
+    def single_flight(self, key: str):
+        """Hold ``key`` exclusively: concurrent holders of one key queue.
+
+        A caller that misses elaborates and fills the entry while holding
+        the key, so callers queued behind it hit.  Distinct keys never
+        block each other; a key's lock is dropped with its last holder.
+        """
+        with self._lock:
+            entry = self._inflight.setdefault(key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._inflight[key]
 
     def get(self, key: str, disk_dir: str | None = None) -> Netlist | None:
         """A private clone of the cached netlist, or None on miss."""
@@ -382,22 +405,25 @@ def elaborate_cached(
 
     Honors both cache gates: ``REPRO_SYNTH_CACHE=0`` (the blanket synthesis
     cache switch) and ``REPRO_FRONTEND_CACHE`` (off / memory-only / disk
-    directory) — see :func:`frontend_cache_mode`.
+    directory) — see :func:`frontend_cache_mode`.  Concurrent callers
+    with one key are single-flighted: the first elaborates, the rest wait
+    and are served its cached result.
     """
     enabled, disk_dir = frontend_cache_mode()
     if not (cache_enabled() and enabled):
         with obs.span("synth.elaborate", cached=False):
             return elaborate(source, top, params)
     key = frontend_key(source, top, params)
-    hit = _FRONTEND.get(key, disk_dir)
-    if hit is not None:
-        perf.incr("netcache.hit")
-        return hit
-    perf.incr("netcache.miss")
-    with obs.span("synth.elaborate", cached=False):
-        netlist = elaborate(source, top, params)
-    _FRONTEND.put(key, netlist, disk_dir)
-    return netlist
+    with _FRONTEND.single_flight(key):
+        hit = _FRONTEND.get(key, disk_dir)
+        if hit is not None:
+            perf.incr("netcache.hit")
+            return hit
+        perf.incr("netcache.miss")
+        with obs.span("synth.elaborate", cached=False):
+            netlist = elaborate(source, top, params)
+        _FRONTEND.put(key, netlist, disk_dir)
+        return netlist
 
 
 def default_cache() -> SynthesisCache:

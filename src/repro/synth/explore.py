@@ -15,11 +15,8 @@ best-of.
 Scoring rides the batched trial kernels: each proposal batch is one
 side-effect-free :meth:`TimingEngine.trial_metrics_batch` sweep — a
 grouped 2-D cone-restricted kernel evaluating every move set at once.
-``REPRO_EXPLORE=0`` switches to the scalar lane fallback (each move set
-committed on the netlist's scratch journal, measured, reverted), which
-is bit-exact with the grouped path by the kernel's parity contract: the
-same RNG draws meet the same verdicts, so the accepted-move sequence,
-the final netlist and the QoR are identical in both modes.
+Each lane's verdict is bit-identical to committing that move set,
+measuring and reverting, so the walk equals one scored that way.
 
 Determinism: every random draw comes from a :func:`repro.rand.rng`
 stream keyed by ``(seed, "explore", chain_index)``; chains never touch
@@ -33,8 +30,6 @@ never worsens QoR.
 
 Environment:
 
-* ``REPRO_EXPLORE`` — grouped-kernel scoring (default on; ``0`` = the
-  scalar scratch-journal lane fallback).
 * ``REPRO_EXPLORE_CHAINS`` — default multi-start width (default 2).
 * ``REPRO_EXPLORE_BUDGET`` — default move-set trials per chain
   (default 240).
@@ -66,19 +61,11 @@ from .wireload import WireLoadModel
 __all__ = [
     "ExploreConfig",
     "ChainResult",
-    "explore_enabled",
     "default_chains",
     "default_budget",
     "anneal_chain",
     "explore_sizing",
 ]
-
-
-def explore_enabled() -> bool:
-    """Whether grouped-kernel trial scoring is active (``REPRO_EXPLORE``)."""
-    return os.environ.get("REPRO_EXPLORE", "1").lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 def default_chains() -> int:
@@ -106,8 +93,7 @@ class ExploreConfig:
     violated; ``dir_bias`` is the probability the drive choice follows
     the helpful direction (stronger on the critical path, weaker for
     area recovery once timing is met).  ``None`` for ``budget`` /
-    ``chains`` / ``grouped`` defers to the environment at
-    :meth:`resolved` time.
+    ``chains`` defers to the environment at :meth:`resolved` time.
     """
 
     budget: int | None = None
@@ -122,7 +108,6 @@ class ExploreConfig:
     timing_weight: float = 1000.0
     crit_bias: float = 0.75
     dir_bias: float = 0.75
-    grouped: bool | None = None
 
     def resolved(self) -> "ExploreConfig":
         """Env defaults latched into concrete values (parent-side)."""
@@ -130,7 +115,6 @@ class ExploreConfig:
             self,
             budget=self.budget if self.budget is not None else default_budget(),
             chains=self.chains if self.chains is not None else default_chains(),
-            grouped=self.grouped if self.grouped is not None else explore_enabled(),
         )
 
 
@@ -154,7 +138,6 @@ class ChainResult:
     accepted: int
     committed_gates: int
     batch_sizes: tuple[int, ...]
-    grouped: bool
 
 
 def _qor_key(cps: float, area: float, config: ExploreConfig) -> tuple[float, float]:
@@ -199,7 +182,7 @@ def _propose(rng, cells, sizable, pool, pool_set, neighbors, directional,
     (``dir_bias``): stronger variants for critical cells under
     violation, weaker variants anywhere once timing is met.  Every draw
     comes from the chain's private stream, so the proposal sequence is
-    deterministic per seed in both scoring modes.
+    deterministic per seed.
     """
     width = min(len(sizable), 1 + rng.randrange(max(1, config.max_gates)))
     chosen: dict[str, str] = {}
@@ -222,29 +205,6 @@ def _propose(rng, cells, sizable, pool, pool_set, neighbors, directional,
             options = weaker
         chosen[name] = options[rng.randrange(len(options))]
     return sorted(chosen.items())
-
-
-def _score_batch(engine, lanes, grouped):
-    """``(cps, area)`` per lane — grouped kernel sweep or scalar fallback.
-
-    The fallback commits each move set on the netlist's change journal,
-    measures, and reverts (the reverts fold into the next evaluation);
-    entry ``i`` is bit-identical to the grouped path by the kernel's
-    parity contract.
-    """
-    if grouped:
-        return engine.trial_metrics_batch(lanes)
-    cells = engine.netlist.cells
-    out = []
-    for lane in lanes:
-        perf.incr("sta.trial")
-        previous = [(cells[name], cells[name].lib_cell) for name, _ in lane]
-        for name, lib_name in lane:
-            cells[name].lib_cell = lib_name
-        out.append((engine.trial_cps(), engine.total_area()))
-        for cell, prev in previous:
-            cell.lib_cell = prev
-    return out
 
 
 def anneal_chain(
@@ -270,7 +230,6 @@ def anneal_chain(
     config = config.resolved()
     ctx = _context(context, netlist, library, wireload, constraints)
     engine = ctx.engine
-    grouped = bool(config.grouped)
     neighbors = sizing_neighbors(library)
     cells = netlist.cells
     sizable = [
@@ -287,7 +246,7 @@ def anneal_chain(
         return ChainResult(
             chain=chain_index, cost=best_key, cps=cur_cps, area=cur_area,
             bindings={}, trials=0, accepted=0, committed_gates=0,
-            batch_sizes=(), grouped=grouped,
+            batch_sizes=(),
         )
 
     rng = _stream_rng(config.seed, "explore", chain_index)
@@ -312,7 +271,7 @@ def anneal_chain(
             ]
         batch_sizes.append(width)
         with perf.timer("explore.score"):
-            verdicts = _score_batch(engine, moves, grouped)
+            verdicts = engine.trial_metrics_batch(moves)
         previous_trials = trials
         trials += width
         perf.incr("explore.moves", width)
@@ -377,7 +336,6 @@ def anneal_chain(
         accepted=accepted,
         committed_gates=committed,
         batch_sizes=tuple(batch_sizes),
-        grouped=grouped,
     )
 
 
@@ -500,7 +458,7 @@ def explore_sizing(
     area_before = engine.total_area()
     with obs.span(
         "explore.run",
-        chains=config.chains, budget=config.budget, grouped=config.grouped,
+        chains=config.chains, budget=config.budget,
     ):
         results = run_chains(
             netlist, library, wireload, constraints, config, jobs=jobs

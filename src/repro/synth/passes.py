@@ -9,24 +9,13 @@ mutations incrementally.  :class:`PassContext` owns that single engine:
 their edits through the netlist change journal as before, and the shell's
 report commands reuse the same warm engine.
 
-The context also latches the ``REPRO_FAST_OPT`` gate (default on) that
-selects the vectorized candidate loops in :mod:`repro.synth.optimizer` —
-batched trial evaluation over the SoA arrays instead of one scalar
-``analyze()`` per trial.  The fast loops are bit-exact: same candidate
-order, same acceptance tests on bit-identical slack verdicts, hence the
-same accepted-change sequence, the same final netlist and the same QoR
-report as the scalar fallback.  ``REPRO_FAST_OPT=0`` restores the scalar
-loops (the engine-sharing above is unconditional — it is exact in both
-modes by the engine's own parity contract).
-
 Per-library candidate tables (:func:`upgrade_table` /
 :func:`downgrade_table`) hoist ``library.next_size_up`` / ``variants``
-lookups out of the round loops; both engine modes share them.
+lookups out of the pass round loops.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 
@@ -38,18 +27,10 @@ from .wireload import WireLoadModel
 
 __all__ = [
     "PassContext",
-    "fast_opt_enabled",
     "upgrade_table",
     "downgrade_table",
     "sizing_neighbors",
 ]
-
-
-def fast_opt_enabled() -> bool:
-    """Whether the vectorized pass loops are active (``REPRO_FAST_OPT``)."""
-    return os.environ.get("REPRO_FAST_OPT", "1").lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 _TABLE_LOCK = threading.Lock()
@@ -84,8 +65,8 @@ def upgrade_table(library: TechLibrary) -> dict[str, LibCell | None]:
 def downgrade_table(library: TechLibrary) -> dict[str, LibCell | None]:
     """``{lib_cell name -> strongest weaker variant (or None)}``.
 
-    Matches ``recover_area``'s scalar candidate scan: the last entry of
-    ``[v for v in variants(function) if v.drive < current.drive]``.
+    The last entry of ``[v for v in variants(function) if v.drive <
+    current.drive]`` — ``recover_area``'s downsizing candidate.
     """
     with _TABLE_LOCK:
         table = _DOWNGRADES.get(library)
@@ -132,14 +113,10 @@ class PassContext:
     Owns the single :class:`TimingEngine` (and with it the SoA lowering +
     kernel) that every timing-driven pass uses; the engine follows the
     netlist's change journal, so pass-to-pass handoff is incremental
-    instead of a rebuild.  ``fast`` selects the vectorized candidate
-    loops; it reads ``REPRO_FAST_OPT`` per access unless overridden, so a
-    context built before an environment flip still honors it.
+    instead of a rebuild.
     """
 
-    __slots__ = (
-        "netlist", "library", "wireload", "constraints", "engine", "_fast",
-    )
+    __slots__ = ("netlist", "library", "wireload", "constraints", "engine")
 
     def __init__(
         self,
@@ -148,7 +125,6 @@ class PassContext:
         wireload: WireLoadModel,
         constraints: Constraints,
         engine: TimingEngine | None = None,
-        fast: bool | None = None,
     ) -> None:
         self.netlist = netlist
         self.library = library
@@ -157,14 +133,6 @@ class PassContext:
         self.engine = engine if engine is not None else TimingEngine(
             netlist, library, wireload, constraints
         )
-        self._fast = fast
-
-    @property
-    def fast(self) -> bool:
-        """Whether passes should take their vectorized candidate loops."""
-        if self._fast is not None:
-            return self._fast
-        return fast_opt_enabled()
 
     def upgrade_table(self) -> dict[str, LibCell | None]:
         return upgrade_table(self.library)

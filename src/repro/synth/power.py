@@ -13,18 +13,20 @@ The paper's future work points at coupling the flow with power signoff
 
 Registers reset probabilities to their D-input steady state and emit one
 output transition per input transition capped at 1/cycle.
+
+Propagation and integration run on the structure-of-arrays kernels
+(:func:`repro.synth.soa.vector_power`); activities are bit-identical to a
+per-cell dict sweep (the scalar reference analyzer in ``tests/oracles``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import perf
-from ..hdl.netlist import Cell, Netlist
+from ..hdl.netlist import Netlist
 from . import soa
 from .library import TechLibrary
 from .sdc import Constraints
-from .timing import TimingEngine
 from .wireload import WireLoadModel
 
 __all__ = ["PowerReport", "PowerAnalyzer"]
@@ -60,63 +62,6 @@ class PowerReport:
         return "\n".join(lines)
 
 
-# P(out=1) for each gate given input 1-probabilities.
-def _prob_out(gate: str, p: list[float]) -> float:
-    if gate == "CONST0":
-        return 0.0
-    if gate == "CONST1":
-        return 1.0
-    if gate == "BUF":
-        return p[0]
-    if gate == "NOT":
-        return 1.0 - p[0]
-    if gate == "AND2":
-        return p[0] * p[1]
-    if gate == "NAND2":
-        return 1.0 - p[0] * p[1]
-    if gate == "OR2":
-        return 1.0 - (1 - p[0]) * (1 - p[1])
-    if gate == "NOR2":
-        return (1 - p[0]) * (1 - p[1])
-    if gate in ("XOR2", "XNOR2"):
-        x = p[0] * (1 - p[1]) + (1 - p[0]) * p[1]
-        return x if gate == "XOR2" else 1.0 - x
-    if gate == "MUX2":
-        sel, a, b = p
-        return (1 - sel) * a + sel * b
-    if gate == "AOI21":
-        return (1 - p[0] * p[1]) * (1 - p[2])
-    if gate == "OAI21":
-        return 1 - (1 - (1 - p[0]) * (1 - p[1])) * p[2]
-    if gate == "DFF":
-        return p[0]
-    raise ValueError(f"unknown gate {gate!r}")
-
-
-# Boolean-difference sensitivities: probability that a transition on input
-# i propagates to the output.
-def _sensitivities(gate: str, p: list[float]) -> list[float]:
-    if gate in ("CONST0", "CONST1"):
-        return []
-    if gate in ("BUF", "NOT", "DFF"):
-        return [1.0]
-    if gate in ("AND2", "NAND2"):
-        return [p[1], p[0]]
-    if gate in ("OR2", "NOR2"):
-        return [1 - p[1], 1 - p[0]]
-    if gate in ("XOR2", "XNOR2"):
-        return [1.0, 1.0]
-    if gate == "MUX2":
-        sel, a, b = p
-        # sel toggles propagate when a != b; data propagates when selected.
-        return [a * (1 - b) + (1 - a) * b, 1 - sel, sel]
-    if gate == "AOI21":
-        return [p[1] * (1 - p[2]), p[0] * (1 - p[2]), 1 - p[0] * p[1]]
-    if gate == "OAI21":
-        return [(1 - p[1]) * p[2], (1 - p[0]) * p[2], 1 - (1 - p[0]) * (1 - p[1])]
-    raise ValueError(f"unknown gate {gate!r}")
-
-
 class PowerAnalyzer:
     """Static power analysis over a mapped netlist."""
 
@@ -135,8 +80,6 @@ class PowerAnalyzer:
         self.constraints = constraints
         self.voltage = voltage
         self.internal_energy_fj = internal_energy_fj
-        self._engine = TimingEngine(netlist, library, wireload, constraints)
-        self._use_vector = soa.vector_sta_enabled()
 
     def analyze(
         self,
@@ -148,87 +91,6 @@ class PowerAnalyzer:
         Args:
             input_probability: P(=1) assumed at primary inputs.
             input_activity: transitions per cycle at primary inputs.
-        """
-        if self._use_vector:
-            return self._analyze_vector(input_probability, input_activity)
-        prob: dict[str, float] = {}
-        act: dict[str, float] = {}
-        for name in self.netlist.primary_inputs:
-            net = self.netlist.nets[name]
-            if net.is_clock:
-                prob[name] = 0.5
-                act[name] = 2.0  # two edges per cycle
-            else:
-                prob[name] = input_probability
-                act[name] = input_activity
-        # Registers first: their outputs are sources for the comb cone.
-        # Iterate twice so reg->comb->reg probability reaches fixpoint-ish;
-        # when the second register sweep changes nothing, the combinational
-        # values are already a pure function of unchanged sources, so the
-        # second comb sweep would reproduce every value — skip it.
-        for iteration in range(2):
-            changed = False
-            for cell in self.netlist.cells.values():
-                if cell.is_sequential:
-                    d = cell.inputs[0]
-                    p_new = prob.get(d, input_probability)
-                    a_new = min(act.get(d, input_activity), 1.0)
-                    q = cell.output
-                    if prob.get(q) != p_new or act.get(q) != a_new:
-                        changed = True
-                        prob[q] = p_new
-                        act[q] = a_new
-            if iteration and not changed:
-                perf.incr("power.fixpoint_early_exit")
-                break
-            for cell in self.netlist.topological_cells():
-                p_in = [prob.get(n, input_probability) for n in cell.inputs]
-                a_in = [act.get(n, input_activity) for n in cell.inputs]
-                prob[cell.output] = _prob_out(cell.gate, p_in)
-                sens = _sensitivities(cell.gate, p_in)
-                act[cell.output] = min(
-                    sum(s * a for s, a in zip(sens, a_in)), 4.0
-                )
-
-        freq_ghz = 1.0 / max(self.constraints.clock_period, 1e-9)
-        v2 = self.voltage**2
-        dynamic = 0.0
-        internal = 0.0
-        leakage = 0.0
-        clock_tree = 0.0
-        for name, net in self.netlist.nets.items():
-            cap_ff = self._engine.net_load(name)
-            activity = act.get(name, 0.0)
-            # 0.5 * C[fF] * V^2 * f[GHz] * D  -> uW
-            energy = 0.5 * cap_ff * v2 * freq_ghz * activity
-            if net.is_clock:
-                clock_tree += energy
-            else:
-                dynamic += energy
-        for cell in self.netlist.cells.values():
-            if cell.gate in ("CONST0", "CONST1"):
-                continue
-            lib = self._engine._bound_cell(cell)
-            leakage += lib.leakage / 1000.0  # nW -> uW
-            activity = act.get(cell.output, 0.0)
-            internal += self.internal_energy_fj * lib.drive * activity * freq_ghz
-        return PowerReport(
-            dynamic_uw=round(dynamic, 3),
-            internal_uw=round(internal, 3),
-            leakage_uw=round(leakage, 3),
-            clock_tree_uw=round(clock_tree, 3),
-            net_activities=act,
-        )
-
-    def _analyze_vector(
-        self, input_probability: float, input_activity: float
-    ) -> PowerReport:
-        """SoA fast path: activity propagation and integration on arrays.
-
-        Activities are bit-identical to the scalar sweep (same expressions,
-        same register-sweep order); whole-design sums may differ at float
-        rounding level under numpy's pairwise summation, which the report's
-        3-decimal rounding absorbs.
         """
         kernel = soa.SoAKernel(
             self.netlist, self.library, self.wireload, self.constraints

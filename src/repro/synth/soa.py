@@ -1,11 +1,11 @@
 """Structure-of-arrays compute kernels for the synthesis backend.
 
-The scalar :class:`~repro.synth.timing.TimingEngine` walks dicts of
-objects — one Python iteration per cell pin.  That is the dominant cost
-of every *first* compile of a design (the incremental path in PR 1 only
-accelerates the gate-sizing hot loop).  This module lowers the timing
-graph once into levelized numpy arrays and runs the hot analyses as
-per-level vectorized kernels:
+A per-cell walk over the netlist's dicts costs one Python iteration per
+cell pin, on every compile.  This module lowers the timing graph once
+into levelized numpy arrays and runs the hot analyses of
+:class:`~repro.synth.timing.TimingEngine` and
+:class:`~repro.synth.power.PowerAnalyzer` as per-level vectorized
+kernels:
 
 * **Lowering** (:class:`SoAStructure`) — cells and nets are assigned
   dense indices; net loads become a ``bincount`` over (net, sink-pin)
@@ -28,24 +28,19 @@ Parity contract
 ---------------
 
 Every kernel evaluates *the same arithmetic expressions on the same
-operands in the same accumulation order* as the scalar engine: net pin
-caps accumulate in the scalar's ``net.sinks`` iteration order (bincount
-adds sequentially in pair order), delays are ``base + res * load /
-1000.0`` elementwise, and max-reduction is exact regardless of order.
-Vectorized WNS/CPS/TNS, endpoint slacks and switching activities are
-therefore bit-identical to :meth:`TimingEngine.full_analyze` and the
-scalar :class:`~repro.synth.power.PowerAnalyzer`; only whole-design
-power *sums* may differ at float rounding level (numpy pairwise
-summation), which vanishes under the reports' 3-decimal rounding.
-Property tests in ``tests/synth/test_soa_parity.py`` enforce this in
-both modes.
-
-Set ``REPRO_VECTOR_STA=0`` to fall back to the scalar engine everywhere.
+operands in the same accumulation order* as a per-cell dict walk: net
+pin caps accumulate in ``net.sinks`` iteration order (bincount adds
+sequentially in pair order), delays are ``base + res * load / 1000.0``
+elementwise, and max-reduction is exact regardless of order.  WNS/CPS/
+TNS, endpoint slacks and switching activities are therefore
+bit-identical to the scalar reference engines in ``tests/oracles``; only
+whole-design power *sums* may differ at float rounding level (numpy
+pairwise summation), which vanishes under the reports' 3-decimal
+rounding.  ``tests/synth/test_soa_parity.py`` enforces this.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 
@@ -54,7 +49,6 @@ import numpy as np
 from .. import perf
 
 __all__ = [
-    "vector_sta_enabled",
     "SoAStructure",
     "SoAKernel",
     "get_structure",
@@ -65,13 +59,6 @@ __all__ = [
 ]
 
 _CONSTS = ("CONST0", "CONST1")
-
-
-def vector_sta_enabled() -> bool:
-    """Whether the vectorized kernels are active (``REPRO_VECTOR_STA``)."""
-    return os.environ.get("REPRO_VECTOR_STA", "1").lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 class _Level:
@@ -919,7 +906,7 @@ class SoAKernel:
 
 
 def _group_prob(kind: str, p):
-    """Vectorized :func:`repro.synth.power._prob_out` (same expressions)."""
+    """P(out=1) per gate kind from input 1-probability arrays."""
     if kind == "BUF":
         return p[0]
     if kind == "NOT":
@@ -946,7 +933,7 @@ def _group_prob(kind: str, p):
 
 
 def _group_sens(kind: str, p):
-    """Vectorized :func:`repro.synth.power._sensitivities`."""
+    """Boolean-difference sensitivities: P(an input toggle reaches out)."""
     if kind in ("BUF", "NOT"):
         return [np.ones_like(p[0])]
     if kind in ("AND2", "NAND2"):
@@ -975,10 +962,10 @@ def vector_power(
 ):
     """Activity propagation + power integration over SoA arrays.
 
-    Mirrors the scalar :class:`~repro.synth.power.PowerAnalyzer` pass
-    structure exactly — including the sequential (Gauss-Seidel, cells
-    dict order) register sweep and the convergence early-exit — so
-    switching activities are bit-identical to the scalar pass.
+    Keeps the per-cell sweep's structure exactly — including the
+    sequential (Gauss-Seidel, cells dict order) register sweep and the
+    convergence early-exit — so switching activities are bit-identical
+    to a per-cell dict sweep.
 
     Returns ``(dynamic, internal, leakage, clock_tree, activities)``
     with unrounded sums and the net-activity dict.

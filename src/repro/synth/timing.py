@@ -17,33 +17,22 @@ slack (0.0 when timing is met), **TNS** sums negative endpoint slacks.
 Incremental analysis
 --------------------
 
-The engine memoizes per-net loads, per-cell bound library cells and the
-full arrival/endpoint state, and subscribes to the netlist's change
-journal (:mod:`repro.hdl.netlist`).  When the only changes since the last
+Arrival propagation and slack reduction run through the
+structure-of-arrays kernels in :mod:`repro.synth.soa`.  Full rebuilds
+lower the netlist once (cached per netlist across engines) and propagate
+level by level.  The engine subscribes to the netlist's change journal
+(:mod:`repro.hdl.netlist`): when the only changes since the last
 ``analyze()`` are cell *resizes* (``lib_cell`` rebinds — the gate-sizing
-hot loop), arrivals are re-propagated only through the downstream cone of
-the dirtied nets; structural edits, constraint changes or a trimmed
-journal fall back to a full rebuild.  The contract is exact parity:
+hot loop), the kernel rebinds the resized rows and re-runs only the
+dirtied levels; structural edits, constraint changes or a trimmed journal
+fall back to a full rebuild.  The contract is exact parity:
 ``analyze()`` returns bit-for-bit the same WNS/CPS/TNS/endpoint slacks as
-:meth:`TimingEngine.full_analyze`, because untouched values are reused
-verbatim and touched values are recomputed with the same expressions in
-the same order.
-
-Vectorized mode
----------------
-
-With ``REPRO_VECTOR_STA`` unset or ``1`` (the default) the engine runs
-arrival propagation and slack reduction through the structure-of-arrays
-kernels in :mod:`repro.synth.soa` — the same contract, array-speed.  Full
-rebuilds lower the netlist once (cached per netlist across engines) and
-propagate level-by-level; journal resizes rebind one library row and
-re-run only the dirtied levels.  ``REPRO_VECTOR_STA=0`` restores the
-scalar engine below.
+:meth:`TimingEngine.full_analyze`, and both match a per-cell dict walk
+over the netlist (the scalar reference engine in ``tests/oracles``).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .. import obs, perf
@@ -139,22 +128,17 @@ class TimingEngine:
         # memoized electrical state (journal-invalidated)
         self._loads: dict[str, float] = {}
         self._bound: dict[str, LibCell] = {}
-        # memoized analysis state; _arrivals is None until the first full pass
-        self._arrivals: dict[str, float] | None = None
-        self._pred: dict[str, tuple[str, str] | None] = {}
+        # endpoint report state, materialized from the kernel arrays
         self._ep_slack: dict[str, float] = {}
         self._ep_required: dict[str, float] = {}
         self._ep_net: dict[str, str] = {}
-        self._topo_index: dict[str, int] = {}
         self._cursor: int | None = None
         self._pending_resizes: set[str] = set()
         self._env_sig: tuple | None = None
-        # trial evaluations fold resizes into the vector kernel without
+        # trial evaluations fold resizes into the kernel without
         # materializing the endpoint dicts; analyze() refreshes them lazily
         self._endpoints_stale = False
-        # vectorized (structure-of-arrays) analysis state; the mode is
-        # latched at construction so one engine never mixes kernels
-        self._use_vector = soa.vector_sta_enabled()
+        # structure-of-arrays analysis state; None until the first rebuild
         self._kernel: soa.SoAKernel | None = None
 
     # -- electrical model ---------------------------------------------------------
@@ -238,12 +222,9 @@ class TimingEngine:
     def _invalidate(self) -> None:
         self._loads.clear()
         self._bound.clear()
-        self._arrivals = None
-        self._pred = {}
         self._ep_slack = {}
         self._ep_required = {}
         self._ep_net = {}
-        self._topo_index = {}
         self._pending_resizes.clear()
         self._kernel = None
         self._endpoints_stale = False
@@ -289,12 +270,6 @@ class TimingEngine:
 
     # -- analysis --------------------------------------------------------------------
 
-    def _is_clock_net(self, net_name: str) -> bool:
-        net = self.netlist.nets[net_name]
-        if self.constraints.clock_port is not None:
-            return net_name == self.constraints.clock_port
-        return net.is_clock
-
     def analyze(self, with_paths: bool = True) -> TimingReport:
         """Run STA; returns the design-level :class:`TimingReport`.
 
@@ -302,48 +277,33 @@ class TimingEngine:
         the previous call; otherwise rebuilds from scratch.
         """
         self._sync()
-        if self._use_vector:
-            if self._kernel is None:
-                perf.incr("sta.full")
-                with obs.span(
-                    "synth.sta",
-                    mode="full",
-                    engine="vector",
-                    cells=len(self.netlist.cells),
-                ):
-                    self._vector_rebuild()
-            elif self._pending_resizes:
-                resized = self._pending_resizes
-                self._pending_resizes = set()
-                perf.incr("sta.incremental")
-                with obs.span(
-                    "synth.sta",
-                    mode="incremental",
-                    engine="vector",
-                    resized=len(resized),
-                ):
-                    self._kernel.update_resizes(resized)
-                    self._materialize_endpoints()
-            else:
-                perf.incr("sta.cached")
-                if self._endpoints_stale:
-                    # a trial_cps() folded resizes into the kernel arrays;
-                    # only the report dicts need refreshing
-                    self._materialize_endpoints()
-            return self._build_report(with_paths)
-        if self._arrivals is None:
+        if self._kernel is None:
             perf.incr("sta.full")
-            with obs.span("synth.sta", mode="full", cells=len(self.netlist.cells)):
-                self._full_rebuild()
+            with obs.span(
+                "synth.sta",
+                mode="full",
+                engine="vector",
+                cells=len(self.netlist.cells),
+            ):
+                self._rebuild()
         elif self._pending_resizes:
+            resized = self._pending_resizes
+            self._pending_resizes = set()
             perf.incr("sta.incremental")
             with obs.span(
-                "synth.sta", mode="incremental", resized=len(self._pending_resizes)
+                "synth.sta",
+                mode="incremental",
+                engine="vector",
+                resized=len(resized),
             ):
-                self._incremental_update(self._pending_resizes)
-            self._pending_resizes = set()
+                self._kernel.update_resizes(resized)
+                self._materialize_endpoints()
         else:
             perf.incr("sta.cached")
+            if self._endpoints_stale:
+                # a trial_cps() folded resizes into the kernel arrays;
+                # only the report dicts need refreshing
+                self._materialize_endpoints()
         return self._build_report(with_paths)
 
     def full_analyze(self, with_paths: bool = True) -> TimingReport:
@@ -355,81 +315,10 @@ class TimingEngine:
         self._sync()
         self._invalidate()
         perf.incr("sta.full")
-        if self._use_vector:
-            self._vector_rebuild()
-        else:
-            self._full_rebuild()
+        self._rebuild()
         return self._build_report(with_paths)
 
-    # -- full propagation --------------------------------------------------------
-
-    def _full_rebuild(self) -> None:
-        arrivals: dict[str, float] = {}
-        predecessor: dict[str, tuple[str, str] | None] = {}
-
-        for name in self.netlist.primary_inputs:
-            if self._is_clock_net(name):
-                continue
-            # The external driver is not free: charge its drive resistance
-            # against the input net's load so port fanout costs delay.
-            drive = self.constraints.input_drive_res * self._load_of(name) / 1000.0
-            arrivals[name] = self.constraints.arrival_offset(name) + drive
-            predecessor[name] = None
-        for cell in self.netlist.cells.values():
-            if cell.is_sequential:
-                arrivals[cell.output] = self._delay_of(cell)
-                predecessor[cell.output] = None
-            elif cell.gate in _CONSTS:
-                arrivals[cell.output] = 0.0
-                predecessor[cell.output] = None
-
-        topo = self.netlist.topological_cells()
-        self._topo_index = {cell.name: i for i, cell in enumerate(topo)}
-        for cell in topo:
-            if cell.gate in _CONSTS:
-                continue
-            worst_in = None
-            worst_arrival = 0.0
-            for net_in in cell.inputs:
-                arr = arrivals.get(net_in, 0.0)
-                if worst_in is None or arr > worst_arrival:
-                    worst_in, worst_arrival = net_in, arr
-            delay = self._delay_of(cell)
-            arrivals[cell.output] = worst_arrival + delay
-            predecessor[cell.output] = (cell.name, worst_in) if worst_in else None
-
-        period = self.constraints.effective_period
-        endpoint_slacks: dict[str, float] = {}
-        endpoint_required: dict[str, float] = {}
-        endpoint_net: dict[str, str] = {}
-        for name in self.netlist.primary_outputs:
-            required = period - self.constraints.required_margin(name)
-            arrival = arrivals.get(name, 0.0)
-            endpoint_slacks[f"out:{name}"] = required - arrival
-            endpoint_required[f"out:{name}"] = required
-            endpoint_net[f"out:{name}"] = name
-        for cell in self.netlist.cells.values():
-            if not cell.is_sequential:
-                continue
-            lib = self._bound_of(cell)
-            data_net = cell.inputs[0]
-            required = period - lib.setup
-            arrival = arrivals.get(data_net, 0.0)
-            key = f"reg:{cell.name}"
-            endpoint_slacks[key] = required - arrival
-            endpoint_required[key] = required
-            endpoint_net[key] = data_net
-
-        self._arrivals = arrivals
-        self._pred = predecessor
-        self._ep_slack = endpoint_slacks
-        self._ep_required = endpoint_required
-        self._ep_net = endpoint_net
-        self._pending_resizes = set()
-
-    # -- vectorized propagation ----------------------------------------------------
-
-    def _vector_rebuild(self) -> None:
+    def _rebuild(self) -> None:
         """Lower to SoA arrays (cached per netlist) and run the full kernel."""
         kernel = soa.SoAKernel(
             self.netlist, self.library, self.wireload, self.constraints
@@ -440,12 +329,11 @@ class TimingEngine:
         self._pending_resizes = set()
 
     def _materialize_endpoints(self) -> None:
-        """Convert kernel endpoint arrays into the scalar report dicts.
+        """Convert kernel endpoint arrays into the report dicts.
 
-        Keys are inserted in exactly the scalar rebuild's order (primary
-        outputs, then sequential cells in definition order) so the shared
-        report reductions — ``min`` tie-breaks, the sequential ``tns``
-        sum — are bit-identical across modes.
+        Keys are inserted primary outputs first, then sequential cells in
+        definition order, so the report reductions — ``min`` tie-breaks,
+        the sequential ``tns`` sum — follow netlist order.
         """
         kernel = self._kernel
         s = kernel.s
@@ -472,11 +360,11 @@ class TimingEngine:
         self._ep_net = ep_net
         self._endpoints_stale = False
 
-    def _vector_pred(self, net_name: str) -> tuple[str, str] | None:
+    def _pred_of(self, net_name: str) -> tuple[str, str] | None:
         """Lazy predecessor lookup over kernel arrivals for path tracing.
 
-        Replicates the scalar propagation's first-strictly-greater
-        worst-input choice, so traced paths match the scalar engine's.
+        The worst input is the first strictly-greater arrival in
+        ``cell.inputs`` order, so ties resolve to the earliest pin.
         """
         net = self.netlist.nets.get(net_name)
         if net is None or net.driver is None:
@@ -493,14 +381,14 @@ class TimingEngine:
                 worst_in, worst_arrival = net_in, arr
         return (cell.name, worst_in) if worst_in else None
 
-    def _vector_trace_path(
+    def _trace_path(
         self, end_net: str, endpoint: str, required: float
     ) -> TimingPath:
         kernel = self._kernel
         points: list[PathPoint] = []
         net = end_net
         while True:
-            pred = self._vector_pred(net)
+            pred = self._pred_of(net)
             arrival = kernel.arrival_of(net)
             if pred is None:
                 points.append(
@@ -522,41 +410,37 @@ class TimingEngine:
 
     # -- trial evaluation ----------------------------------------------------------
 
+    def _fold_for_trial(self) -> bool:
+        """Bring the kernel up to date without materializing endpoints.
+
+        Returns whether the kernel was already current.
+        """
+        self._sync()
+        if self._kernel is None:
+            perf.incr("sta.full")
+            self._rebuild()
+        elif self._pending_resizes:
+            resized = self._pending_resizes
+            self._pending_resizes = set()
+            perf.incr("sta.incremental")
+            self._kernel.update_resizes(resized)
+            self._endpoints_stale = True
+        else:
+            return True
+        return False
+
     def trial_cps(self) -> float:
         """Worst endpoint slack after folding pending resizes — no report.
 
         Bit-identical to ``analyze(with_paths=False).cps``, but skips
         endpoint-dict materialization, report assembly and path tracing:
-        the per-trial hot path of the optimization passes.  In vector mode
-        the verdict is a single array reduction; the next ``analyze()``
-        refreshes the endpoint dicts from the (already current) kernel.
+        the per-trial hot path of the optimization passes.  The verdict
+        is a single array reduction; the next ``analyze()`` refreshes the
+        endpoint dicts from the (already current) kernel.
         """
-        self._sync()
-        if self._use_vector:
-            if self._kernel is None:
-                perf.incr("sta.full")
-                self._vector_rebuild()
-            elif self._pending_resizes:
-                resized = self._pending_resizes
-                self._pending_resizes = set()
-                perf.incr("sta.incremental")
-                self._kernel.update_resizes(resized)
-                self._endpoints_stale = True
-            else:
-                perf.incr("sta.cached")
-            return self._kernel.committed_cps()
-        if self._arrivals is None:
-            perf.incr("sta.full")
-            self._full_rebuild()
-        elif self._pending_resizes:
-            perf.incr("sta.incremental")
-            self._incremental_update(self._pending_resizes)
-            self._pending_resizes = set()
-        else:
+        if self._fold_for_trial():
             perf.incr("sta.cached")
-        if not self._ep_slack:
-            return 0.0
-        return round(min(self._ep_slack.values()), 4)
+        return self._kernel.committed_cps()
 
     def trial_cps_batch(self, trials) -> list[float]:
         """CPS verdicts for hypothetical cell rebinds.
@@ -564,41 +448,17 @@ class TimingEngine:
         ``trials`` is a sequence of lanes, each one
         ``(cell_name, lib_cell_name)`` pair or a list of such pairs (a
         grouped rebind evaluated as if committed together), evaluated
-        independently against the current committed state.  In vector
-        mode the whole batch runs as one 2-D kernel sweep with no side
-        effects on the netlist or the committed arrays; the scalar engine
-        falls back to journal-driven apply/evaluate/revert.  Either way
-        entry ``i`` is bit-identical to rebinding ``trials[i]`` alone and
-        reading ``analyze(with_paths=False).cps``.
+        independently against the current committed state.  The whole
+        batch runs as one 2-D kernel sweep with no side effects on the
+        netlist or the committed arrays; entry ``i`` is bit-identical to
+        rebinding ``trials[i]`` alone and reading
+        ``analyze(with_paths=False).cps``.
         """
         if not trials:
             return []
         _observe_trial_batch(len(trials))
-        self._sync()
-        if self._use_vector:
-            if self._kernel is None:
-                perf.incr("sta.full")
-                self._vector_rebuild()
-            elif self._pending_resizes:
-                resized = self._pending_resizes
-                self._pending_resizes = set()
-                perf.incr("sta.incremental")
-                self._kernel.update_resizes(resized)
-                self._endpoints_stale = True
-            return self._kernel.trial_cps_batch(trials)
-        cells = self.netlist.cells
-        results: list[float] = []
-        for lane in trials:
-            perf.incr("sta.trial")
-            rebinds = [lane] if isinstance(lane[0], str) else list(lane)
-            previous = [(cells[name], cells[name].lib_cell) for name, _ in rebinds]
-            for name, lib_name in rebinds:
-                cells[name].lib_cell = lib_name
-            results.append(self.trial_cps())
-            # the reverts are journaled and folded into the next evaluation
-            for cell, prev in previous:
-                cell.lib_cell = prev
-        return results
+        self._fold_for_trial()
+        return self._kernel.trial_cps_batch(trials)
 
     def trial_metrics_batch(self, trials) -> list[tuple[float, float]]:
         """``(CPS, total area)`` verdicts for hypothetical cell rebinds.
@@ -607,156 +467,16 @@ class TimingEngine:
         ``(cell_name, lib_cell_name)`` pair or a list of such pairs
         evaluated as if committed together.  Entry ``i`` is bit-identical
         to rebinding ``trials[i]`` alone and reading
-        ``(analyze(with_paths=False).cps, total_area())``.  In vector
-        mode the whole batch is one side-effect-free kernel sweep (CPS)
-        plus a patched-row area fold; the scalar engine falls back to
-        journal-driven apply/evaluate/revert.  This is the scoring path
-        of the design-space explorer (:mod:`repro.synth.explore`).
+        ``(analyze(with_paths=False).cps, total_area())``.  The whole
+        batch is one side-effect-free kernel sweep (CPS) plus a
+        patched-row area fold.  This is the scoring path of the
+        design-space explorer (:mod:`repro.synth.explore`).
         """
         if not trials:
             return []
         _observe_trial_batch(len(trials))
-        self._sync()
-        if self._use_vector:
-            if self._kernel is None:
-                perf.incr("sta.full")
-                self._vector_rebuild()
-            elif self._pending_resizes:
-                resized = self._pending_resizes
-                self._pending_resizes = set()
-                perf.incr("sta.incremental")
-                self._kernel.update_resizes(resized)
-                self._endpoints_stale = True
-            return self._kernel.trial_metrics_batch(trials)
-        cells = self.netlist.cells
-        results: list[tuple[float, float]] = []
-        for lane in trials:
-            perf.incr("sta.trial")
-            rebinds = [lane] if isinstance(lane[0], str) else list(lane)
-            previous = [(cells[name], cells[name].lib_cell) for name, _ in rebinds]
-            for name, lib_name in rebinds:
-                cells[name].lib_cell = lib_name
-            results.append((self.trial_cps(), self.total_area()))
-            # the reverts are journaled and folded into the next evaluation
-            for cell, prev in previous:
-                cell.lib_cell = prev
-        return results
-
-    # -- incremental propagation ---------------------------------------------------
-
-    def _incremental_update(self, resized: set[str]) -> None:
-        """Re-propagate arrivals through the downstream cone of resizes.
-
-        Only valid when the netlist structure (and thus the cached
-        topological order) is unchanged since the last rebuild.
-        """
-        arrivals = self._arrivals
-        assert arrivals is not None
-        cells = self.netlist.cells
-        nets = self.netlist.nets
-        topo_index = self._topo_index
-        period = self.constraints.effective_period
-
-        heap: list[tuple[int, str]] = []
-        queued: set[str] = set()
-
-        def queue_cell(name: str) -> None:
-            if name not in queued:
-                queued.add(name)
-                heapq.heappush(heap, (topo_index[name], name))
-
-        def refresh_endpoint(key: str) -> None:
-            self._ep_slack[key] = self._ep_required[key] - arrivals.get(
-                self._ep_net[key], 0.0
-            )
-
-        def on_net_changed(net_name: str) -> None:
-            net = nets[net_name]
-            for sink_name in net.sinks:
-                sink = cells[sink_name]
-                if sink.is_sequential:
-                    if sink.inputs and sink.inputs[0] == net_name:
-                        refresh_endpoint(f"reg:{sink_name}")
-                    continue  # clock pins do not propagate data arrivals
-                if sink.gate in _CONSTS:
-                    continue
-                queue_cell(sink_name)
-            if net.is_output:
-                refresh_endpoint(f"out:{net_name}")
-
-        def refresh_source(net_name: str) -> None:
-            """Recompute the arrival at a net produced by a non-combinational
-            source (port / register / constant) after its load changed."""
-            driver = nets[net_name].driver
-            if driver is None:
-                if net_name in arrivals and not self._is_clock_net(net_name):
-                    drive = (
-                        self.constraints.input_drive_res
-                        * self._load_of(net_name)
-                        / 1000.0
-                    )
-                    new = self.constraints.arrival_offset(net_name) + drive
-                    if new != arrivals[net_name]:
-                        arrivals[net_name] = new
-                        on_net_changed(net_name)
-                return
-            cell = cells[driver]
-            if cell.gate in _CONSTS:
-                return  # constants launch at 0.0 regardless of load
-            if cell.is_sequential:
-                new = self._delay_of(cell)
-                if new != arrivals[net_name]:
-                    arrivals[net_name] = new
-                    on_net_changed(net_name)
-                return
-            queue_cell(driver)
-
-        # Seed: nets whose load changed (the resized cells' input pins) need
-        # their sources re-timed; the resized cells themselves need their own
-        # delay re-applied; resized registers also shift their setup check.
-        affected_nets: set[str] = set()
-        for name in resized:
-            cell = cells[name]
-            affected_nets.update(cell.inputs)
-            clock = cell.attrs.get("clock")
-            if clock is not None:
-                affected_nets.add(clock)
-        for net_name in affected_nets:
-            refresh_source(net_name)
-        for name in resized:
-            cell = cells[name]
-            if cell.gate in _CONSTS:
-                continue
-            if cell.is_sequential:
-                key = f"reg:{name}"
-                self._ep_required[key] = period - self._bound_of(cell).setup
-                refresh_endpoint(key)
-                new = self._delay_of(cell)
-                if new != arrivals[cell.output]:
-                    arrivals[cell.output] = new
-                    on_net_changed(cell.output)
-            else:
-                queue_cell(name)
-
-        recomputed = 0
-        while heap:
-            _, name = heapq.heappop(heap)
-            cell = cells[name]
-            worst_in = None
-            worst_arrival = 0.0
-            for net_in in cell.inputs:
-                arr = arrivals.get(net_in, 0.0)
-                if worst_in is None or arr > worst_arrival:
-                    worst_in, worst_arrival = net_in, arr
-            new_arrival = worst_arrival + self._delay_of(cell)
-            new_pred = (name, worst_in) if worst_in else None
-            out = cell.output
-            recomputed += 1
-            if new_arrival != arrivals.get(out) or new_pred != self._pred.get(out):
-                arrivals[out] = new_arrival
-                self._pred[out] = new_pred
-                on_net_changed(out)
-        perf.incr("sta.cells_recomputed", recomputed)
+        self._fold_for_trial()
+        return self._kernel.trial_metrics_batch(trials)
 
     # -- report assembly -----------------------------------------------------------
 
@@ -776,20 +496,11 @@ class TimingEngine:
 
         critical = None
         if with_paths:
-            if self._use_vector and self._kernel is not None:
-                critical = self._vector_trace_path(
-                    self._ep_net[worst_key],
-                    worst_key,
-                    self._ep_required[worst_key],
-                )
-            else:
-                critical = self._trace_path(
-                    self._ep_net[worst_key],
-                    worst_key,
-                    self._arrivals,
-                    self._pred,
-                    self._ep_required[worst_key],
-                )
+            critical = self._trace_path(
+                self._ep_net[worst_key],
+                worst_key,
+                self._ep_required[worst_key],
+            )
         return TimingReport(
             wns=round(wns, 4),
             cps=round(cps, 4),
@@ -800,47 +511,15 @@ class TimingEngine:
             endpoint_slacks=dict(endpoint_slacks),
         )
 
-    def _trace_path(
-        self,
-        end_net: str,
-        endpoint: str,
-        arrivals: dict[str, float],
-        predecessor: dict[str, tuple[str, str] | None],
-        required: float,
-    ) -> TimingPath:
-        points: list[PathPoint] = []
-        net = end_net
-        while True:
-            pred = predecessor.get(net)
-            arrival = arrivals.get(net, 0.0)
-            if pred is None:
-                points.append(PathPoint(cell="<launch>", net=net, incr=arrival, arrival=arrival))
-                break
-            cell_name, prev_net = pred
-            incr = arrival - arrivals.get(prev_net, 0.0)
-            points.append(PathPoint(cell=cell_name, net=net, incr=incr, arrival=arrival))
-            net = prev_net
-        points.reverse()
-        return TimingPath(
-            startpoint=points[0].net,
-            endpoint=endpoint,
-            points=points,
-            arrival=arrivals.get(end_net, 0.0),
-            required=required,
-        )
-
     # -- aggregate metrics used by reports/power -----------------------------------------
 
     def total_area(self) -> float:
         self._sync()
         # Serve from the kernel's binding rows when they are current: one
         # array gather instead of a Python fold over every cell.  The
-        # kernel fold is bit-identical to the scalar sum below.
-        if (
-            self._use_vector
-            and self._kernel is not None
-            and not self._pending_resizes
-        ):
+        # kernel fold is bit-identical to the Python sum below, which
+        # covers resizes the kernel has not folded yet.
+        if self._kernel is not None and not self._pending_resizes:
             return self._kernel.committed_area()
         return sum(
             self._bound_of(c).area

@@ -1,9 +1,8 @@
 """Vector similarity-search indexes (the FAISS substitute, paper [51]).
 
 :class:`FlatIndex` performs exact nearest-neighbour search;
-:class:`IVFIndex` is an inverted-file index with k-means coarse
-quantization for sub-linear probing; :class:`HNSWIndex` is a graph-based
-approximate index for million-scale corpora.  All support cosine,
+:class:`HNSWIndex` is a graph-based approximate index for million-scale
+corpora.  All support cosine,
 inner-product and L2 metrics, store an arbitrary payload per vector, and
 sit on one contiguous :class:`~repro.vectorstore.storage.VectorArena`
 (memory-mappable ``.npy`` + JSON-sidecar persistence).
@@ -21,7 +20,6 @@ import os
 
 from .flat import FlatIndex, SearchResult, live_index_stats, topk_order
 from .hnsw import HNSWIndex
-from .ivf import IVFIndex
 from .metrics import METRICS, pairwise_scores
 from .storage import VectorArena
 
@@ -29,7 +27,6 @@ from .. import perf
 
 __all__ = [
     "FlatIndex",
-    "IVFIndex",
     "HNSWIndex",
     "VectorArena",
     "SearchResult",

@@ -79,6 +79,18 @@ class TestParser:
         with pytest.raises(CypherError):
             parse_cypher("MATCH (a:Module RETURN a")
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "MATCH (a)-[*1.3]->(b) RETURN a",
+            "MATCH (a)-[*1..2.5]->(b) RETURN a",
+            "MATCH (n) RETURN n LIMIT 2.5",
+        ],
+    )
+    def test_non_integer_bound_raises_cypher_error(self, query):
+        with pytest.raises(CypherError, match="expected an integer"):
+            parse_cypher(query)
+
 
 class TestMatchExecution:
     def test_label_scan(self, circuit_store):

@@ -246,3 +246,15 @@ class TestErrors:
     def test_error_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_source("module m();\n  assign = 1;\nendmodule")
+
+    @pytest.mark.parametrize("literal", ["8'b102", "8'o19", "8'dA", "8'hG1"])
+    def test_digit_outside_base_raises_with_location(self, literal):
+        with pytest.raises(ParseError, match="malformed number"):
+            parse_number(literal)
+        src = f"module m(output y);\n  assign y = {literal};\nendmodule"
+        with pytest.raises(ParseError, match=r"line 2:14\b"):
+            parse_source(src)
+
+    def test_bad_binary_literal_on_one_line(self):
+        with pytest.raises(ParseError, match=r"8'b102.* at line 1:32$"):
+            parse_source("module m(output y); assign y = 8'b102; endmodule")

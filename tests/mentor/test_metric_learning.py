@@ -15,6 +15,8 @@ from repro.mentor.metric_learning import (
     n_pair_loss,
 )
 
+from ..oracles.gnn import ReferenceTrainer, multi_similarity_loss_loop
+
 
 class TestContrastiveLoss:
     def test_same_pair_zero_at_coincidence(self):
@@ -174,24 +176,20 @@ class TestVectorizedLossOracle:
     @given(st.integers(0, 1000), st.integers(3, 10))
     @settings(max_examples=25, deadline=None)
     def test_matches_loop_reference(self, seed, n):
-        from repro.mentor.metric_learning import _multi_similarity_loss_loop
-
         rng = np.random.default_rng(seed)
         emb = rng.normal(size=(n, 4))
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
         labels = rng.integers(0, 3, size=n)
         loss_vec, grad_vec = multi_similarity_loss(emb, labels)
-        loss_ref, grad_ref = _multi_similarity_loss_loop(emb, labels)
+        loss_ref, grad_ref = multi_similarity_loss_loop(emb, labels)
         assert loss_vec == pytest.approx(loss_ref, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad_vec, grad_ref, rtol=1e-12, atol=1e-12)
 
     def test_single_class_batch(self):
-        from repro.mentor.metric_learning import _multi_similarity_loss_loop
-
         emb = np.random.default_rng(1).normal(size=(4, 3))
         labels = np.zeros(4, dtype=int)
         loss_vec, grad_vec = multi_similarity_loss(emb, labels)
-        loss_ref, grad_ref = _multi_similarity_loss_loop(emb, labels)
+        loss_ref, grad_ref = multi_similarity_loss_loop(emb, labels)
         assert loss_vec == pytest.approx(loss_ref, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad_vec, grad_ref, rtol=1e-12, atol=1e-12)
 
@@ -213,15 +211,16 @@ class TestVectorizedLossOracle:
 
 
 class TestCrossModeDeterminism:
-    """Satellite: same seed + graphs -> identical training in both engine
-    modes (REPRO_BATCH_GNN=1 batched vs =0 scalar)."""
+    """Same seed + graphs -> identical training on the production GNN path
+    and on the other path (``ReferenceTrainer``: per-graph multi-similarity,
+    batched contrastive)."""
 
     def _train(self, monkeypatch, mode, loss, seed=3):
-        monkeypatch.setenv("REPRO_BATCH_GNN", mode)
         monkeypatch.setenv("REPRO_GNN_EMBED_CACHE", "0")
         graphs, labels = TestTrainer().make_dataset(seed=seed)
         encoder = CircuitEncoder(embedding_dim=8, seed=seed)
-        stats = MetricTrainer(encoder, loss=loss, seed=seed).train(
+        trainer_cls = MetricTrainer if mode == "1" else ReferenceTrainer
+        stats = trainer_cls(encoder, loss=loss, seed=seed).train(
             graphs, labels, epochs=4
         )
         final = np.vstack([encoder.model.embed_graph(g) for g in graphs])

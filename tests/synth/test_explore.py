@@ -3,18 +3,19 @@
 The explorer (``repro.synth.explore``) promises:
 
 * ``TimingEngine.trial_metrics_batch`` returns ``(cps, area)`` per
-  move-set lane bit-identical to committing that move set and
-  measuring, in both the vector and the scalar engine mode;
+  move-set lane bit-identical to committing that move set, measuring
+  and reverting (``_committed_reference``), on the SoA engine and on the
+  scalar oracle engine;
 * ``anneal_chain`` walks the same accepted-move sequence whether it
-  scores through the grouped kernel (``REPRO_EXPLORE=1``) or the
-  scalar scratch-journal fallback — same final bindings, same QoR;
+  scores through the grouped kernel or through the scalar oracle
+  engine's commit-measure-revert lanes — same final bindings, same QoR;
 * the multi-start reduction is bit-identical across the thread and
   process backends and independent of completion order;
 * ``explore_sizing`` never worsens the lexicographic
   ``(timing violation, area)`` QoR of its input.
 
-These tests pit the modes against each other on hypothesis-generated
-netlists and on the full OpenCores corpus.
+These tests pit production against the references on
+hypothesis-generated netlists and on the full OpenCores corpus.
 """
 
 import dataclasses
@@ -39,16 +40,15 @@ from repro.synth import (
 )
 from repro.synth.explore import (
     ExploreConfig,
-    _score_batch,
     anneal_chain,
     default_budget,
     default_chains,
-    explore_enabled,
     reduce_chains,
     run_chains,
 )
 from repro.synth.techmap import map_to_library
 
+from ..oracles.passes import scalar_context
 from .test_soa_parity import _engine, random_mapped_netlist
 
 LIBRARY = nangate45()
@@ -121,24 +121,31 @@ class TestTrialMetricsBatch:
 
     @pytest.mark.parametrize("design", benchmark_names())
     def test_opencores_grouped_matches_fallback(self, design):
-        """REPRO_EXPLORE=1 vs =0 scoring: bit-exact CP/area on the full
-        corpus for randomized multi-gate move sets."""
+        """Grouped kernel scoring vs commit-measure-revert: bit-exact
+        CP/area on the full corpus for randomized multi-gate move sets,
+        measured on the SoA engine and on the scalar oracle engine."""
         netlist, period = _mapped_benchmark(design)
         netlist = netlist.clone()
         constraints = Constraints(clock_period=period * 0.95)
         engine = _engine(netlist, constraints, True)
         engine.analyze(with_paths=False)
         lanes = _random_lanes(netlist, seeded_rng(0, "corpus", design))
-        grouped = _score_batch(engine, lanes, grouped=True)
-        fallback = _score_batch(engine, lanes, grouped=False)
-        assert grouped == fallback
+        grouped = engine.trial_metrics_batch(lanes)
+        assert grouped == _committed_reference(engine, lanes)
+        scalar = _engine(netlist, constraints, False)
+        assert grouped == _committed_reference(scalar, lanes)
 
 
-def _chain_outcome(netlist, constraints, config, seed):
+def _chain_outcome(netlist, constraints, config, seed, reference=False):
+    """One chain on a clone; ``reference`` scores on the scalar oracle."""
     local = netlist.clone()
+    context = (
+        scalar_context(local, LIBRARY, WIRELOAD, constraints)
+        if reference else None
+    )
     result = anneal_chain(
         local, LIBRARY, WIRELOAD, constraints,
-        dataclasses.replace(config, seed=seed),
+        dataclasses.replace(config, seed=seed), context=context,
     )
     return result, {
         name: cell.lib_cell for name, cell in local.cells.items()
@@ -149,19 +156,27 @@ class TestAnnealChain:
     @settings(max_examples=10, deadline=None)
     @given(random_mapped_netlist(), st.integers(0, 2**16 - 1))
     def test_grouped_and_fallback_chains_identical(self, case, seed):
-        """Same seed, both scoring modes: same walk, same final netlist."""
+        """Same seed, grouped kernel vs scalar commit-measure-revert
+        scoring: same walk, same final netlist."""
         netlist, constraints = case
-        base = ExploreConfig(budget=16, chains=1, batch=4, max_gates=2)
-        grouped, bound_g = _chain_outcome(
-            netlist, constraints,
-            dataclasses.replace(base, grouped=True), seed,
+        config = ExploreConfig(budget=16, chains=1, batch=4, max_gates=2)
+        grouped = _chain_outcome(netlist, constraints, config, seed)
+        reference = _chain_outcome(
+            netlist, constraints, config, seed, reference=True
         )
-        fallback, bound_f = _chain_outcome(
-            netlist, constraints,
-            dataclasses.replace(base, grouped=False), seed,
+        assert grouped == reference
+
+    @pytest.mark.parametrize("design", benchmark_names())
+    def test_opencores_chain_matches_reference(self, design):
+        netlist, period = _mapped_benchmark(design)
+        constraints = Constraints(clock_period=period * 0.9)
+        config = ExploreConfig(budget=24, chains=1, batch=8)
+        grouped = _chain_outcome(netlist, constraints, config, 5)
+        reference = _chain_outcome(
+            netlist, constraints, config, 5, reference=True
         )
-        assert dataclasses.replace(grouped, grouped=False) == fallback
-        assert bound_g == bound_f
+        assert grouped == reference
+        assert grouped[0].accepted > 0  # the walk actually moved
 
     def test_chain_never_worsens_start_state(self):
         netlist, period = _mapped_benchmark("dynamic_node")
@@ -206,24 +221,62 @@ class TestMultiStart:
             assert reduce_chains(shuffled) == winner
 
 
-class TestGating:
-    def test_explore_enabled_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXPLORE", raising=False)
-        assert explore_enabled()  # default on
-        for off in ("0", "false", "no", "off"):
-            monkeypatch.setenv("REPRO_EXPLORE", off)
-            assert not explore_enabled()
-        monkeypatch.setenv("REPRO_EXPLORE", "1")
-        assert explore_enabled()
+_HASH_SEED_RUN = """
+import sys
+from repro.designs import get_benchmark
+from repro.eval import baseline_script
+from repro.synth import DCShell
 
+bench = get_benchmark("ethmac")
+lines = baseline_script(bench).splitlines()
+lines.insert(
+    next(i for i, line in enumerate(lines) if line.startswith("report")),
+    "explore_sizing -budget 24 -chains 2 -seed 1",
+)
+shell = DCShell()
+shell.add_design(bench.name, bench.verilog, bench.top)
+result = shell.run_script("\\n".join(lines))
+assert result.success, result.error
+report = shell._engine().analyze()
+print(repr(shell.qor()))
+print(repr(sorted(report.endpoint_slacks.items())))
+"""
+
+
+class TestHashSeedDeterminism:
+    def test_explore_qor_independent_of_hash_seed(self):
+        """String-hash order must not reach the netlist: the same compile
+        plus explore in two interpreters with different ``PYTHONHASHSEED``
+        gives the same QoR and the same full-precision endpoint slacks."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(src), env.get("PYTHONPATH", "")]
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_RUN],
+                capture_output=True, text=True, env=env, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+
+class TestGating:
     def test_env_defaults_latched_by_resolved(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPLORE", "0")
         monkeypatch.setenv("REPRO_EXPLORE_CHAINS", "5")
         monkeypatch.setenv("REPRO_EXPLORE_BUDGET", "77")
         config = ExploreConfig().resolved()
-        assert (config.grouped, config.chains, config.budget) == (False, 5, 77)
-        explicit = ExploreConfig(budget=9, chains=1, grouped=True).resolved()
-        assert (explicit.grouped, explicit.chains, explicit.budget) == (True, 1, 9)
+        assert (config.chains, config.budget) == (5, 77)
+        explicit = ExploreConfig(budget=9, chains=1).resolved()
+        assert (explicit.chains, explicit.budget) == (1, 9)
 
     def test_default_helpers(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXPLORE_CHAINS", raising=False)

@@ -121,6 +121,78 @@ class TestMemoryLayer:
         assert snapshot["caches"]["frontend"]["disk_hits"] == 0
 
 
+class TestSingleFlight:
+    def test_concurrent_callers_elaborate_one_key_once(self, monkeypatch):
+        """Threads racing on one cold key: one elaborates, the rest wait
+        and are served clones of its result."""
+        import sys
+        import threading
+        import time
+
+        from repro.synth import cache as cache_mod
+
+        calls = []
+
+        def slow_elaborate(source, top=None, params=None):
+            calls.append(top)
+            time.sleep(0.05)  # hold the miss open while the others arrive
+            return elaborate(source, top, params)
+
+        monkeypatch.setattr(cache_mod, "elaborate", slow_elaborate)
+        workers = 8
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+
+        def run(slot):
+            barrier.wait(timeout=30)
+            results[slot] = elaborate_cached(COUNTER, "counter")
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == ["counter"]
+        assert perf.counter("netcache.miss") == 1
+        assert perf.counter("netcache.hit") == workers - 1
+        fingerprints = {netlist.fingerprint() for netlist in results}
+        assert len(fingerprints) == 1
+        assert len({id(netlist) for netlist in results}) == workers
+        assert not frontend_cache()._inflight  # per-key locks released
+
+    def test_distinct_keys_do_not_block_each_other(self, monkeypatch):
+        import threading
+
+        from repro.synth import cache as cache_mod
+
+        inside = threading.Event()
+        release = threading.Event()
+
+        def gated_elaborate(source, top=None, params=None):
+            if top == "counter":
+                inside.set()
+                assert release.wait(timeout=10)
+            return elaborate(source, top, params)
+
+        monkeypatch.setattr(cache_mod, "elaborate", gated_elaborate)
+        slow = threading.Thread(
+            target=elaborate_cached, args=(COUNTER, "counter")
+        )
+        slow.start()
+        assert inside.wait(timeout=10)
+        # another key completes while "counter" is still elaborating
+        assert elaborate_cached(ADDER, "adder").fingerprint()
+        release.set()
+        slow.join(timeout=30)
+        assert not slow.is_alive()
+
+
 class TestEnvGates:
     def test_mode_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_FRONTEND_CACHE", raising=False)

@@ -1,17 +1,13 @@
-"""Cross-mode parity: batched pass engine == scalar per-trial fallback.
+"""Parity: batched pass loops == the scalar per-trial reference loops.
 
-ISSUE 5 promises that ``REPRO_FAST_OPT`` never changes results — only
-how candidate trials are evaluated.  Fast mode scores upsizing and
-recovery candidates through ``TimingEngine.trial_cps_batch`` (grouped
-kernel sweeps against the committed SoA arrays); scalar mode applies
-each candidate and reads a full incremental ``analyze``.  Both must
+The production passes score upsizing and recovery candidates through
+``TimingEngine.trial_cps_batch`` (grouped kernel sweeps against the
+committed SoA arrays); the reference loops in ``tests/oracles/passes``
+apply each candidate and read a full incremental ``analyze``.  Both must
 produce the identical accepted-change sequence, the identical final
 netlist (fingerprint), and identical QoR, on random netlists and on
-real OpenCores compile flows, in both STA engine modes.
-
-Mode forcing mirrors ``test_soa_parity``: ``_use_vector`` is set on the
-engine directly and ``PassContext(fast=...)`` pins the pass loops, so
-all four combinations run in one process regardless of the environment.
+every OpenCores compile flow.  Loops and engines are crossed: each pass
+implementation runs on both the SoA engine and the scalar oracle engine.
 """
 
 import pytest
@@ -20,34 +16,46 @@ from hypothesis import strategies as st
 
 from repro import perf
 from repro.designs import get_benchmark
+from repro.designs.opencores import benchmark_names
 from repro.synth import Constraints, get_wireload, nangate45
 from repro.synth.cache import synthesis_key
 from repro.synth.dcshell import DCShell
 from repro.synth.optimizer import recover_area, size_gates
-from repro.synth.passes import PassContext, fast_opt_enabled
+from repro.synth.passes import PassContext
 from repro.synth.techmap import propagate_constants
 
+from ..oracles import passes as scalar_passes
+from ..oracles.timing import ScalarTimingEngine
 from .test_soa_parity import random_mapped_netlist
 
 LIBRARY = nangate45()
 WIRELOAD = get_wireload("5K_heavy_1k")
 
 
-def _context(netlist, constraints, fast, vector):
-    ctx = PassContext(netlist, LIBRARY, WIRELOAD, constraints, fast=fast)
-    ctx.engine._use_vector = vector
-    return ctx
+def _context(netlist, constraints, vector):
+    """Production engine, or the scalar oracle engine with ``vector=False``."""
+    if vector:
+        return PassContext(netlist, LIBRARY, WIRELOAD, constraints)
+    return scalar_passes.scalar_context(netlist, LIBRARY, WIRELOAD, constraints)
+
+
+def _passes(fast):
+    """Production pass loops, or the reference loops with ``fast=False``."""
+    if fast:
+        return size_gates, recover_area
+    return scalar_passes.size_gates, scalar_passes.recover_area
 
 
 def _sizing_flow(netlist, constraints, fast, vector):
     """The pass sequence under test; returns (results, bindings, fingerprint)."""
-    ctx = _context(netlist, constraints, fast, vector)
+    ctx = _context(netlist, constraints, vector)
+    sizing, recovery = _passes(fast)
     results = [
-        size_gates(
+        sizing(
             netlist, LIBRARY, WIRELOAD, constraints,
             max_rounds=8, scan=6, context=ctx,
         ),
-        recover_area(
+        recovery(
             netlist, LIBRARY, WIRELOAD, constraints,
             slack_margin=-5.0, context=ctx,
         ),
@@ -78,7 +86,7 @@ class TestRandomNetlistParity:
         from repro.rand import rng as seeded_rng
 
         netlist, constraints = case
-        ctx = _context(netlist, constraints, True, True)
+        ctx = _context(netlist, constraints, True)
         engine = ctx.engine
         engine.analyze()
         upgrade = ctx.upgrade_table()
@@ -114,29 +122,36 @@ class TestRandomNetlistParity:
             assert got == expected, lane
 
 
+def _compile(design, reference):
+    """``compile_ultra`` in one shell; the reference runs on the oracles."""
+    bench = get_benchmark(design)
+    shell = DCShell()
+    shell.add_design(design, bench.verilog, bench.top)
+    script = "\n".join(
+        [
+            f"read_verilog {design}",
+            f"create_clock -period {bench.clock_period * 0.9}",
+            "set_max_fanout 24",
+            "set_max_area 0",
+            "compile_ultra",
+        ]
+    )
+    if reference:
+        with scalar_passes.scalar_flow():
+            result = shell.run_script(script)
+        assert isinstance(shell._engine(), ScalarTimingEngine)
+    else:
+        result = shell.run_script(script)
+    assert result.success, result.error
+    return shell.netlist.fingerprint(), shell.qor()
+
+
 class TestOpenCoresParity:
-    @pytest.mark.parametrize("design", ["dynamic_node", "riscv32i"])
-    def test_dcshell_compile_modes_identical(self, design, monkeypatch):
-        bench = get_benchmark(design)
-        outcomes = {}
-        for mode in ("1", "0"):
-            monkeypatch.setenv("REPRO_FAST_OPT", mode)
-            shell = DCShell()
-            shell.add_design(design, bench.verilog, bench.top)
-            result = shell.run_script(
-                "\n".join(
-                    [
-                        f"read_verilog {design}",
-                        f"create_clock -period {bench.clock_period * 0.9}",
-                        "set_max_fanout 24",
-                        "set_max_area 0",
-                        "compile_ultra",
-                    ]
-                )
-            )
-            assert result.success, result.error
-            outcomes[mode] = (shell.netlist.fingerprint(), shell.qor())
-        assert outcomes["1"] == outcomes["0"]
+    @pytest.mark.parametrize("design", benchmark_names())
+    def test_dcshell_compile_modes_identical(self, design):
+        assert _compile(design, reference=False) == _compile(
+            design, reference=True
+        )
 
     def test_fast_mode_drops_analyze_calls(self):
         bench = get_benchmark("riscv32i")
@@ -149,10 +164,11 @@ class TestOpenCoresParity:
             netlist = elaborate(bench.verilog, bench.top)
             map_to_library(netlist, LIBRARY)
             constraints = Constraints(clock_period=bench.clock_period * 0.8)
-            ctx = _context(netlist, constraints, fast, True)
+            ctx = _context(netlist, constraints, True)
             ctx.engine.analyze()
             perf.reset()
-            size_gates(
+            sizing, _ = _passes(fast)
+            sizing(
                 netlist, LIBRARY, WIRELOAD, constraints,
                 max_rounds=6, scan=16, context=ctx,
             )
@@ -164,29 +180,6 @@ class TestOpenCoresParity:
 
 
 class TestModeGating:
-    def test_fast_opt_enabled_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST_OPT", raising=False)
-        assert fast_opt_enabled()  # default on
-        for off in ("0", "false", "no", "off", "NO", "False"):
-            monkeypatch.setenv("REPRO_FAST_OPT", off)
-            assert not fast_opt_enabled()
-        monkeypatch.setenv("REPRO_FAST_OPT", "1")
-        assert fast_opt_enabled()
-
-    def test_context_fast_override_beats_env(self, monkeypatch):
-        bench = get_benchmark("dynamic_node")
-        from repro.hdl import elaborate
-        from repro.synth.techmap import map_to_library
-
-        netlist = elaborate(bench.verilog, bench.top)
-        map_to_library(netlist, LIBRARY)
-        constraints = Constraints(clock_period=bench.clock_period)
-        monkeypatch.setenv("REPRO_FAST_OPT", "0")
-        assert PassContext(
-            netlist, LIBRARY, WIRELOAD, constraints, fast=True
-        ).fast
-        assert not PassContext(netlist, LIBRARY, WIRELOAD, constraints).fast
-
     def test_upgrade_table_shared_per_library(self):
         bench = get_benchmark("dynamic_node")
         from repro.hdl import elaborate
@@ -201,11 +194,14 @@ class TestModeGating:
         assert a.downgrade_table() is b.downgrade_table()
 
     def test_synthesis_cache_key_ignores_mode(self, monkeypatch):
+        """Execution modes (workers, pool backend) never key the cache."""
         args = ("nangate45", "aes", "fingerprint", "aes", "compile_ultra")
-        monkeypatch.setenv("REPRO_FAST_OPT", "1")
-        fast_key = synthesis_key(*args)
-        monkeypatch.setenv("REPRO_FAST_OPT", "0")
-        assert synthesis_key(*args) == fast_key
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "thread")
+        key = synthesis_key(*args)
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
+        assert synthesis_key(*args) == key
 
 
 class TestConstWorklist:

@@ -4,8 +4,12 @@ import pytest
 
 from repro.hdl import elaborate
 from repro.synth import Constraints, get_wireload, nangate45
-from repro.synth.power import PowerAnalyzer, _prob_out, _sensitivities
+from repro.synth.power import PowerAnalyzer
 from repro.synth.techmap import map_to_library
+
+# The per-gate probability model, stated per cell; the SoA kernel's
+# vectorized rules are held to it by tests/synth/test_soa_parity.py.
+from ..oracles.power import prob_out, sensitivities
 
 
 def analyzer_for(src, top, period=1.0):
@@ -18,41 +22,41 @@ def analyzer_for(src, top, period=1.0):
 
 class TestProbabilityModel:
     def test_and_gate(self):
-        assert _prob_out("AND2", [0.5, 0.5]) == pytest.approx(0.25)
+        assert prob_out("AND2", [0.5, 0.5]) == pytest.approx(0.25)
 
     def test_or_gate(self):
-        assert _prob_out("OR2", [0.5, 0.5]) == pytest.approx(0.75)
+        assert prob_out("OR2", [0.5, 0.5]) == pytest.approx(0.75)
 
     def test_xor_gate(self):
-        assert _prob_out("XOR2", [0.5, 0.5]) == pytest.approx(0.5)
+        assert prob_out("XOR2", [0.5, 0.5]) == pytest.approx(0.5)
 
     def test_not_gate(self):
-        assert _prob_out("NOT", [0.2]) == pytest.approx(0.8)
+        assert prob_out("NOT", [0.2]) == pytest.approx(0.8)
 
     def test_mux_balanced(self):
-        assert _prob_out("MUX2", [0.5, 0.0, 1.0]) == pytest.approx(0.5)
+        assert prob_out("MUX2", [0.5, 0.0, 1.0]) == pytest.approx(0.5)
 
     def test_consts(self):
-        assert _prob_out("CONST0", []) == 0.0
-        assert _prob_out("CONST1", []) == 1.0
+        assert prob_out("CONST0", []) == 0.0
+        assert prob_out("CONST1", []) == 1.0
 
     @pytest.mark.parametrize("gate", ["AND2", "OR2", "XOR2", "NAND2", "NOR2"])
     def test_probabilities_bounded(self, gate):
         for pa in (0.0, 0.3, 1.0):
             for pb in (0.0, 0.7, 1.0):
-                p = _prob_out(gate, [pa, pb])
+                p = prob_out(gate, [pa, pb])
                 assert 0.0 <= p <= 1.0
 
     def test_sensitivities_bounded(self):
         for gate in ("AND2", "OR2", "XOR2", "MUX2"):
             n = 3 if gate == "MUX2" else 2
-            sens = _sensitivities(gate, [0.4] * n)
+            sens = sensitivities(gate, [0.4] * n)
             assert all(0.0 <= s <= 1.0 for s in sens)
 
     def test_and_sensitivity_gated_by_other_input(self):
         # A transition through an AND only propagates when the other
         # input is 1.
-        sens = _sensitivities("AND2", [0.5, 0.0])
+        sens = sensitivities("AND2", [0.5, 0.0])
         assert sens[0] == 0.0
 
 

@@ -1,17 +1,13 @@
-"""Cross-mode parity: vectorized SoA STA/power == scalar engines.
+"""Parity: SoA-kernel STA/power == the scalar reference engines.
 
-The SoA kernels (``repro.synth.soa``) promise *exact* agreement with the
-scalar :class:`TimingEngine` / :class:`PowerAnalyzer` sweeps — identical
-WNS/CPS/TNS, bit-for-bit identical endpoint-slack dictionaries and net
-activities — on any mapped netlist, including after journal-driven gate
-resizes served through the incremental vector path.  These tests pit the
-two modes against each other on hypothesis-generated random netlists
-(combinational DAGs plus register feedback loops) and on real OpenCores
-benchmarks.
-
-Mode selection is normally latched from ``REPRO_VECTOR_STA`` at engine
-construction; the tests force ``_use_vector`` directly so both modes run
-in one process regardless of the environment.
+The SoA kernels behind :class:`TimingEngine` / :class:`PowerAnalyzer`
+promise *exact* agreement with the per-cell dict sweeps in
+``tests/oracles`` — identical WNS/CPS/TNS, bit-for-bit identical
+endpoint-slack dictionaries, critical paths and net activities — on any
+mapped netlist, including after journal-driven gate resizes served
+through the incremental kernel path.  These tests pit production against
+the oracles on hypothesis-generated random netlists (combinational DAGs
+plus register feedback loops) and on all seven OpenCores benchmarks.
 """
 
 import functools
@@ -22,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro import perf
 from repro.designs import get_benchmark
+from repro.designs.opencores import benchmark_names
 from repro.hdl import elaborate
 from repro.hdl.netlist import Netlist
 from repro.synth import (
@@ -32,6 +29,9 @@ from repro.synth import (
     nangate45,
 )
 from repro.synth.techmap import map_to_library
+
+from ..oracles.power import ScalarPowerAnalyzer
+from ..oracles.timing import ScalarTimingEngine
 
 LIBRARY = nangate45()
 WIRELOAD = get_wireload("5K_heavy_1k")
@@ -80,16 +80,15 @@ def random_mapped_netlist(draw, max_gates=30, num_inputs=5, max_regs=4):
     return netlist, Constraints(clock_period=period)
 
 
-def _engine(netlist, constraints, vector):
-    engine = TimingEngine(netlist, LIBRARY, WIRELOAD, constraints)
-    engine._use_vector = vector
-    return engine
+def _engine(netlist, constraints, vector=True):
+    """The production engine, or the scalar oracle with ``vector=False``."""
+    cls = TimingEngine if vector else ScalarTimingEngine
+    return cls(netlist, LIBRARY, WIRELOAD, constraints)
 
 
-def _power(netlist, constraints, vector):
-    analyzer = PowerAnalyzer(netlist, LIBRARY, WIRELOAD, constraints)
-    analyzer._use_vector = vector
-    return analyzer
+def _power(netlist, constraints, vector=True):
+    cls = PowerAnalyzer if vector else ScalarPowerAnalyzer
+    return cls(netlist, LIBRARY, WIRELOAD, constraints)
 
 
 def _assert_reports_match(vec, ref):
@@ -144,7 +143,7 @@ class TestRandomNetlistParity:
         ),
     )
     def test_journal_resizes_match_scalar(self, case, resizes):
-        """Resizes flow through the incremental vector path; parity must
+        """Resizes flow through the incremental kernel path; parity must
         hold against a from-scratch scalar engine after every batch."""
         netlist, constraints = case
         engine = _engine(netlist, constraints, True)
@@ -176,7 +175,7 @@ class TestRandomNetlistParity:
 
 
 class TestBenchmarkParity:
-    @pytest.mark.parametrize("design", ["dynamic_node", "riscv32i"])
+    @pytest.mark.parametrize("design", benchmark_names())
     def test_full_sta_matches_scalar(self, design):
         netlist, period = _mapped_benchmark(design)
         netlist = netlist.clone()
@@ -185,20 +184,25 @@ class TestBenchmarkParity:
         ref = _engine(netlist, constraints, False).analyze()
         _assert_reports_match(vec, ref)
 
-    @pytest.mark.parametrize("design", ["dynamic_node", "riscv32i"])
+    @pytest.mark.parametrize("design", benchmark_names())
     def test_incremental_resizes_match_scalar(self, design):
         netlist, period = _mapped_benchmark(design)
         netlist = netlist.clone()
         constraints = Constraints(clock_period=period)
         engine = _engine(netlist, constraints, True)
         engine.analyze(with_paths=False)
+        scalar = _engine(netlist, constraints, False)
+        scalar.analyze(with_paths=False)
         for seed in range(12):
             _resize(netlist, seed * 131, seed)
             vec = engine.analyze()
+            # against both the oracle's own incremental update and a
+            # from-scratch oracle rebuild
+            _assert_reports_match(vec, scalar.analyze())
             ref = _engine(netlist, constraints, False).full_analyze()
             _assert_reports_match(vec, ref)
 
-    @pytest.mark.parametrize("design", ["dynamic_node", "riscv32i"])
+    @pytest.mark.parametrize("design", benchmark_names())
     def test_power_matches_scalar(self, design):
         netlist, period = _mapped_benchmark(design)
         constraints = Constraints(clock_period=period)
@@ -244,7 +248,7 @@ class TestVectorMechanics:
     def test_power_fixpoint_early_exit_fires(self):
         """A feed-forward pipeline stabilises after one register sweep; the
         second comb sweep is skipped and the counter records it, in both
-        scalar and vector mode, without changing the result."""
+        the kernel and the scalar oracle, without changing the result."""
         netlist = Netlist("pipe")
         netlist.add_net("clk", is_input=True, is_clock=True)
         netlist.add_net("in0", is_input=True)

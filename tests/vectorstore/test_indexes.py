@@ -1,4 +1,4 @@
-"""Tests for the vector indexes: exactness, metrics, IVF recall."""
+"""Tests for the vector indexes: exactness, metrics, growth."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.vectorstore import FlatIndex, IVFIndex, pairwise_scores
+from repro.vectorstore import FlatIndex, pairwise_scores
 
 
 class TestMetrics:
@@ -112,130 +112,6 @@ class TestFlatIndex:
         # hence the loose absolute tolerance.
         expect = np.linalg.norm(data[brute[0]] - query)
         assert -results[0].score == pytest.approx(expect, abs=1e-6)
-
-
-class TestIVFIndex:
-    @pytest.fixture
-    def clustered_data(self):
-        rng = np.random.default_rng(7)
-        centers = rng.normal(scale=10, size=(6, 8))
-        points = np.vstack(
-            [center + rng.normal(scale=0.3, size=(20, 8)) for center in centers]
-        )
-        return points
-
-    def test_exhaustive_probe_matches_flat(self, clustered_data):
-        flat = FlatIndex(dim=8, metric="l2")
-        ivf = IVFIndex(dim=8, nlist=6, nprobe=6, metric="l2", seed=3)
-        for i, row in enumerate(clustered_data):
-            flat.add(i, row)
-            ivf.add(i, row)
-        query = clustered_data[5] + 0.05
-        assert [r.key for r in ivf.search(query, k=5)] == [
-            r.key for r in flat.search(query, k=5)
-        ]
-
-    def test_high_recall_with_few_probes(self, clustered_data):
-        flat = FlatIndex(dim=8, metric="l2")
-        ivf = IVFIndex(dim=8, nlist=6, nprobe=2, metric="l2", seed=3)
-        for i, row in enumerate(clustered_data):
-            flat.add(i, row)
-            ivf.add(i, row)
-        hits = 0
-        for q in range(0, 120, 10):
-            query = clustered_data[q] + 0.01
-            truth = {r.key for r in flat.search(query, k=5)}
-            approx = {r.key for r in ivf.search(query, k=5)}
-            hits += len(truth & approx)
-        assert hits / (12 * 5) > 0.9
-
-    def test_lazy_training(self, clustered_data):
-        ivf = IVFIndex(dim=8, nlist=4)
-        for i, row in enumerate(clustered_data[:30]):
-            ivf.add(i, row)
-        assert not ivf.is_trained
-        ivf.search(clustered_data[0], k=1)
-        assert ivf.is_trained
-
-    def test_train_empty_raises(self):
-        with pytest.raises(ValueError):
-            IVFIndex(dim=4).train()
-
-    def test_add_after_search_retrains(self, clustered_data):
-        ivf = IVFIndex(dim=8, nlist=4, nprobe=4, metric="l2")
-        for i, row in enumerate(clustered_data[:40]):
-            ivf.add(i, row)
-        ivf.search(clustered_data[0], k=1)
-        ivf.add(999, clustered_data[50])
-        results = ivf.search(clustered_data[50], k=1)
-        assert results[0].key == 999
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            IVFIndex(dim=0)
-        with pytest.raises(ValueError):
-            IVFIndex(dim=4, nlist=0)
-
-    def test_cosine_metric(self, clustered_data):
-        ivf = IVFIndex(dim=8, nlist=6, nprobe=6, metric="cosine", seed=1)
-        for i, row in enumerate(clustered_data):
-            ivf.add(i, row)
-        result = ivf.search(clustered_data[0] * 3.0, k=1)  # scale-invariant
-        assert result[0].score == pytest.approx(1.0, abs=1e-6)
-
-
-class TestKMeansReseed:
-    """Regression: empty k-means clusters must be reseeded, not left stale.
-
-    With ``nlist`` larger than the number of natural clusters, Lloyd's
-    iteration used to strand centroids no point maps to; those cells then
-    wasted probes forever.  The farthest-point reseed guarantees every
-    cell ends up serving at least one vector.
-    """
-
-    @staticmethod
-    def _duplicate_heavy_data(dim=4):
-        """10 identical vectors at the origin + 3 distinct far points.
-
-        Initial centroid sampling almost always draws two or more of the
-        duplicates; identical centroids tie on every point, the lowest
-        index wins them all, and the rest start (and, pre-fix, stay)
-        empty while the far points go unrepresented.
-        """
-        data = np.zeros((13, dim))
-        data[10, 0], data[11, 0], data[12, 0] = 100.0, 200.0, 300.0
-        return data
-
-    def test_kmeans_leaves_no_empty_cluster(self):
-        from repro.vectorstore.ivf import _kmeans
-        from repro.vectorstore.metrics import pairwise_scores
-
-        data = self._duplicate_heavy_data()
-        for seed in range(10):
-            centroids = _kmeans(data, 4, np.random.default_rng(seed))
-            assert centroids.shape == (4, data.shape[1])
-            assert np.isfinite(centroids).all()
-            assign = np.argmin(-pairwise_scores(data, centroids, "l2"), axis=1)
-            assert set(assign.tolist()) == set(range(4)), seed
-
-    def test_oversized_nlist_keeps_every_cell_usable(self):
-        data = self._duplicate_heavy_data()
-        ivf = IVFIndex(dim=4, nlist=4, nprobe=4, metric="l2", seed=2)
-        for i, row in enumerate(data):
-            ivf.add(i, row)
-        ivf.train()
-        assert sum(1 for cell in ivf._cells if cell) == 4
-
-    def test_reseeded_cells_serve_far_points(self):
-        """The far points must be findable with nprobe=1: each now lives
-        in its own reseeded cell instead of hiding behind a stale one."""
-        data = self._duplicate_heavy_data()
-        ivf = IVFIndex(dim=4, nlist=4, nprobe=1, metric="l2", seed=0)
-        for i, row in enumerate(data):
-            ivf.add(i, row)
-        for q in (10, 11, 12):
-            results = ivf.search(data[q], k=1)
-            assert results and results[0].key == q
 
 
 class TestFlatIndexGrowth:

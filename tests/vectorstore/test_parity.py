@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vectorstore import FlatIndex, HNSWIndex, IVFIndex
+from repro.vectorstore import FlatIndex, HNSWIndex
 
-ALL_INDEX_TYPES = [FlatIndex, IVFIndex, HNSWIndex]
+ALL_INDEX_TYPES = [FlatIndex, HNSWIndex]
 
 
 def _corpus(seed: int, n: int, dim: int, clusters: int = 6) -> np.ndarray:
@@ -141,35 +141,6 @@ class TestBatchParity:
         assert len(out) == 6
         assert all(len(row) == 4 for row in out)
         assert out[2][0].key == 2
-
-
-class TestIVFIncremental:
-    def test_add_after_train_keeps_centroids(self):
-        data = _corpus(5, n=200, dim=8)
-        idx = IVFIndex(dim=8, nlist=8, seed=0)
-        idx.add_batch(range(150), data[:150])
-        idx.search(data[0], k=1)  # triggers training
-        assert idx._centroids is not None
-        trained = idx._centroids
-        for i in range(150, 170):
-            idx.add(i, data[i])
-        # Incremental assignment, no retrain for a small trickle.
-        assert idx._centroids is trained
-        hits = idx.search(data[160], k=3)
-        assert 160 in {h.key for h in hits}
-
-    def test_drift_threshold_forces_retrain(self):
-        data = _corpus(6, n=300, dim=8)
-        idx = IVFIndex(dim=8, nlist=4, seed=0, drift_threshold=0.25)
-        idx.add_batch(range(100), data[:100])
-        idx.search(data[0], k=1)
-        assert idx._centroids is not None
-        for i in range(100, 180):  # 80 drifted > 0.25 * 100
-            idx.add(i, data[i])
-        assert idx._centroids is None  # marked for lazy retrain
-        hits = idx.search(data[150], k=3)  # retrains here
-        assert idx._centroids is not None
-        assert 150 in {h.key for h in hits}
 
 
 class TestPersistenceParity:
