@@ -38,7 +38,29 @@ __all__ = [
 
 
 class CypherError(ValueError):
-    """Raised on malformed Cypher text."""
+    """Raised on malformed Cypher text.
+
+    Parse errors carry the offending token's 1-based ``line`` and ``col``
+    (also appended to the message); both are None when no position applies.
+    """
+
+    def __init__(
+        self, message: str, line: int | None = None, col: int | None = None
+    ) -> None:
+        self.message = message
+        self.line = line
+        self.col = col
+        super().__init__(message if line is None else f"{message} at {line}:{col}")
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line, self.col)
+
+
+def _error_at(text: str, offset: int, message: str) -> CypherError:
+    """A :class:`CypherError` located at character ``offset`` of ``text``."""
+    line = text.count("\n", 0, offset) + 1
+    col = offset - (text.rfind("\n", 0, offset) + 1) + 1
+    return CypherError(message, line, col)
 
 
 _TOKEN_RE = re.compile(
@@ -77,24 +99,28 @@ _KEYWORDS = {
 }
 
 
-def _lex(text: str) -> list[tuple[str, str]]:
+def _lex(text: str) -> tuple[list[tuple[str, str]], list[int]]:
+    """``(kind, value)`` tokens and the character offset each starts at."""
     tokens: list[tuple[str, str]] = []
+    offsets: list[int] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise CypherError(f"cannot tokenize at {text[pos:pos+12]!r}")
-        pos = m.end()
+            raise _error_at(text, pos, f"cannot tokenize {text[pos:pos+12]!r}")
+        start, pos = pos, m.end()
         kind = m.lastgroup
         if kind == "WS":
             continue
         value = m.group()
+        offsets.append(start)
         if kind == "NAME" and value.upper() in _KEYWORDS:
             tokens.append(("KW", value.upper()))
         else:
             tokens.append((kind, value))
     tokens.append(("EOF", ""))
-    return tokens
+    offsets.append(len(text))
+    return tokens, offsets
 
 
 # -- AST ---------------------------------------------------------------------
@@ -189,9 +215,14 @@ class Query:
 
 
 class _CypherParser:
-    def __init__(self, tokens: list[tuple[str, str]]) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens, self.offsets = _lex(text)
         self.pos = 0
+
+    def error(self, message: str, back: int = 0) -> CypherError:
+        """An error located at the current token (``back`` tokens earlier)."""
+        return _error_at(self.text, self.offsets[self.pos - back], message)
 
     def peek(self) -> tuple[str, str]:
         return self.tokens[self.pos]
@@ -207,7 +238,7 @@ class _CypherParser:
         result = self.accept(kind, value)
         if result is None:
             k, v = self.peek()
-            raise CypherError(f"expected {value or kind}, got {v!r}")
+            raise self.error(f"expected {value or kind}, got {v!r}")
         return result
 
     def expect_int(self) -> int:
@@ -216,7 +247,7 @@ class _CypherParser:
         try:
             return int(value)
         except ValueError:
-            raise CypherError(f"expected an integer, got {value!r}") from None
+            raise self.error(f"expected an integer, got {value!r}", back=1) from None
 
     def expect_name(self) -> str:
         """A name position also admits keywords (labels like CONTAINS)."""
@@ -224,7 +255,7 @@ class _CypherParser:
         if kind in ("NAME", "KW"):
             self.pos += 1
             return value
-        raise CypherError(f"expected name, got {value!r}")
+        raise self.error(f"expected name, got {value!r}")
 
     # -- entry -----------------------------------------------------------------
 
@@ -263,7 +294,7 @@ class _CypherParser:
                 query.patterns.append(self.parse_path())
             self.expect("EOF")
             return query
-        raise CypherError("query must start with MATCH or CREATE")
+        raise self.error("query must start with MATCH or CREATE")
 
     # -- patterns -----------------------------------------------------------------
 
@@ -312,7 +343,7 @@ class _CypherParser:
             self.expect("OP", "]")
         if self.accept("OP", "->"):
             if rel.direction == "in":
-                raise CypherError("relationship cannot point both ways")
+                raise self.error("relationship cannot point both ways", back=1)
             rel.direction = "out"
         else:
             self.expect("OP", "-")
@@ -385,7 +416,7 @@ class _CypherParser:
             return Comparison(op="STARTS_WITH", left=left, right=self.parse_operand())
         if self.accept("KW", "IN"):
             return Comparison(op="IN", left=left, right=self.parse_list())
-        raise CypherError(f"expected comparison operator, got {value!r}")
+        raise self.error(f"expected comparison operator, got {value!r}")
 
     def parse_list(self) -> Literal:
         self.expect("OP", "[")
@@ -424,7 +455,7 @@ class _CypherParser:
             return Literal(value=False)
         if self.accept("KW", "NULL"):
             return Literal(value=None)
-        raise CypherError(f"expected literal, got {value!r}")
+        raise self.error(f"expected literal, got {value!r}")
 
     def parse_return_item(self) -> ReturnItem:
         expr = self.parse_operand()
@@ -436,4 +467,4 @@ class _CypherParser:
 
 def parse_cypher(text: str) -> Query:
     """Parse a Cypher-subset query string into a :class:`Query`."""
-    return _CypherParser(_lex(text)).parse()
+    return _CypherParser(text).parse()

@@ -19,8 +19,8 @@ incremental timing engine in :mod:`repro.synth.timing`) can find out what
 changed since they last looked instead of re-deriving the world:
 
 * structural edits (``add_net``/``add_cell``/``remove_cell``/
-  ``rewire_input``/``rewire_clock``/``replace_with``) log a ``structure``
-  event and invalidate the cached topological order;
+  ``rewire_input``/``rewire_clock``) and :meth:`Netlist.rollback` log a
+  ``structure`` event and invalidate the cached topological order;
 * rebinding a cell's library cell (``cell.lib_cell = ...``) logs a
   ``resize`` event naming the cell — the hot path of gate sizing.
 
@@ -29,6 +29,21 @@ Observers call :meth:`Netlist.journal_since` with their last-seen
 past their cursor and they must rebuild from scratch.  Code that mutates
 nets or cells directly (bypassing the methods here) must call
 :meth:`Netlist.touch` afterwards so observers invalidate.
+
+Savepoints
+----------
+
+:meth:`Netlist.savepoint` opens an undo log for trial edits (retiming
+tries a move, times it and keeps or undoes it).  While it is open, every
+journaled mutation above first saves the prior state of each cell and net
+it touches, once per object; objects created after the savepoint are only
+marked as added.  :meth:`Netlist.rollback` restores exactly the state a
+clone taken at the savepoint would hold — cell and net dict order, every
+net's sink order, port lists, bindings and attributes — and resumes the
+uid counter past the restored netlist's highest uid, as a clone does.
+:meth:`Netlist.release` keeps the edits and drops the log.  One savepoint
+may be open at a time, and ``touch`` is refused while one is, since an
+out-of-band edit cannot be undone.
 """
 
 from __future__ import annotations
@@ -154,9 +169,12 @@ class Cell:
     def lib_cell(self, value: str | None) -> None:
         if value == self._lib_cell:
             return
+        owner = self._owner
+        if owner is not None and owner._undo is not None:
+            owner._undo.save_cell(self)
         self._lib_cell = value
-        if self._owner is not None:
-            self._owner._note_resize(self.name)
+        if owner is not None:
+            owner._note_resize(self.name)
 
     @property
     def is_sequential(self) -> bool:
@@ -168,6 +186,47 @@ class Cell:
             f"inputs={self.inputs!r}, output={self.output!r}, "
             f"lib_cell={self._lib_cell!r})"
         )
+
+
+class _UndoLog:
+    """Prior state of everything touched since :meth:`Netlist.savepoint`.
+
+    ``nets``/``cells`` map a name to its saved state, or to None when the
+    object was created after the savepoint.  ``cell_order`` is the cell
+    dict order before the first removal (removals and re-insertions are
+    the only edits that reorder it).
+    """
+
+    __slots__ = ("nets", "cells", "cell_order", "num_inputs", "num_outputs")
+
+    def __init__(self, netlist: "Netlist") -> None:
+        self.nets: dict[str, tuple | None] = {}
+        self.cells: dict[str, tuple | None] = {}
+        self.cell_order: list[str] | None = None
+        self.num_inputs = len(netlist.primary_inputs)
+        self.num_outputs = len(netlist.primary_outputs)
+
+    def save_net(self, net: Net) -> None:
+        if net.name not in self.nets:
+            self.nets[net.name] = (net.driver, SinkSet(net.sinks), net.is_clock)
+
+    def save_cell(self, cell: Cell) -> None:
+        if cell.name not in self.cells:
+            self.cells[cell.name] = (
+                cell, list(cell.inputs), cell._lib_cell, dict(cell.attrs)
+            )
+
+    def save_removal(self, netlist: "Netlist", cell: Cell) -> None:
+        """Save what removing ``cell`` changes: order, cell, its nets."""
+        if self.cell_order is None:
+            self.cell_order = list(netlist.cells)
+        self.save_cell(cell)
+        nets = netlist.nets
+        self.save_net(nets[cell.output])
+        for net_name in cell.inputs:
+            self.save_net(nets[net_name])
+        if "clock" in cell.attrs:
+            self.save_net(nets[cell.attrs["clock"]])
 
 
 class Netlist:
@@ -184,6 +243,7 @@ class Netlist:
         self._journal_base = 0
         self._topo_cache: list[Cell] | None = None
         self._max_uid_memo: int | None = None
+        self._undo: _UndoLog | None = None
 
     # -- change journal -------------------------------------------------------
 
@@ -216,7 +276,67 @@ class Netlist:
 
     def touch(self) -> None:
         """Record an out-of-band mutation (direct net/cell attribute edits)."""
+        if self._undo is not None:
+            raise NetlistError("touch() inside a savepoint cannot be rolled back")
         self._note_structure()
+
+    # -- savepoints -----------------------------------------------------------
+
+    def savepoint(self) -> None:
+        """Start logging prior state so :meth:`rollback` can undo edits."""
+        if self._undo is not None:
+            raise NetlistError("a savepoint is already open")
+        self._undo = _UndoLog(self)
+
+    def _close_savepoint(self, action: str) -> _UndoLog:
+        undo = self._undo
+        if undo is None:
+            raise NetlistError(f"{action} without an open savepoint")
+        self._undo = None
+        return undo
+
+    def release(self) -> None:
+        """Keep every edit since :meth:`savepoint` and drop the undo log."""
+        self._close_savepoint("release")
+
+    def rollback(self) -> None:
+        """Undo every edit since :meth:`savepoint`.
+
+        The result equals a :meth:`clone` taken at the savepoint, including
+        dict and sink orders and the uid counter (resumed past the restored
+        netlist's highest uid, so the next autogenerated names match).
+        """
+        undo = self._close_savepoint("rollback")
+        nets = self.nets
+        for name, saved in undo.nets.items():
+            if saved is None:
+                del nets[name]  # nets are never removed: the tail was added
+            else:
+                net = nets[name]
+                net.driver, net.sinks, net.is_clock = saved
+        cells = self.cells
+        for name, saved in undo.cells.items():
+            if saved is None:
+                added = cells.pop(name, None)
+                if added is not None:
+                    added._owner = None
+            else:
+                cell, inputs, lib_cell, attrs = saved
+                cell.inputs, cell._lib_cell, cell.attrs = inputs, lib_cell, attrs
+                cell._owner = self
+        if undo.cell_order is not None:
+            restored = {}
+            for name in undo.cell_order:
+                if name not in undo.cells:
+                    restored[name] = cells[name]
+                elif undo.cells[name] is not None:
+                    restored[name] = undo.cells[name][0]
+            cells.clear()
+            cells.update(restored)
+        del self.primary_inputs[undo.num_inputs :]
+        del self.primary_outputs[undo.num_outputs :]
+        self._note_structure()
+        self._uid = itertools.count(self._max_uid() + 1)
 
     # -- construction --------------------------------------------------------
 
@@ -232,6 +352,8 @@ class Netlist:
                 raise NetlistError(f"unknown net flag {key!r}")
             setattr(net, key, value)
         self.nets[name] = net
+        if self._undo is not None:
+            self._undo.nets[name] = None
         if net.is_input:
             self.primary_inputs.append(name)
         if net.is_output:
@@ -264,6 +386,7 @@ class Netlist:
             name = f"$g{next(self._uid)}"
         if name in self.cells:
             raise NetlistError(f"duplicate cell {name!r}")
+        undo = self._undo
         out_net = self.get_or_add_net(output)
         if out_net.driver is not None:
             raise NetlistError(f"net {output!r} already driven by {out_net.driver!r}")
@@ -273,18 +396,29 @@ class Netlist:
             name=name, gate=gate, inputs=list(inputs), output=output,
             attrs=attrs, owner=self,
         )
+        if undo is not None:
+            undo.save_net(out_net)
         out_net.driver = name
         for net_name in inputs:
-            self.get_or_add_net(net_name).sinks.add(name)
+            net = self.get_or_add_net(net_name)
+            if undo is not None:
+                undo.save_net(net)
+            net.sinks.add(name)
         if "clock" in attrs:
             clk = self.get_or_add_net(attrs["clock"])
+            if undo is not None:
+                undo.save_net(clk)
             clk.is_clock = True
             clk.sinks.add(name)
         self.cells[name] = cell
+        if undo is not None and name not in undo.cells:
+            undo.cells[name] = None
         self._note_structure()
         return cell
 
     def remove_cell(self, name: str) -> None:
+        if self._undo is not None:
+            self._undo.save_removal(self, self.cells[name])
         cell = self.cells.pop(name)
         out = self.nets[cell.output]
         out.driver = None
@@ -298,10 +432,17 @@ class Netlist:
         cell = self.cells[cell_name]
         if old_net not in cell.inputs:
             raise NetlistError(f"{old_net!r} is not an input of {cell_name!r}")
+        undo = self._undo
+        if undo is not None:
+            undo.save_cell(cell)
+            undo.save_net(self.nets[old_net])
         cell.inputs = [new_net if n == old_net else n for n in cell.inputs]
         if old_net not in cell.inputs and cell.attrs.get("clock") != old_net:
             self.nets[old_net].sinks.discard(cell_name)
-        self.get_or_add_net(new_net).sinks.add(cell_name)
+        net = self.get_or_add_net(new_net)
+        if undo is not None:
+            undo.save_net(net)
+        net.sinks.add(cell_name)
         self._note_structure()
 
     def rewire_clock(self, cell_name: str, new_clock: str) -> None:
@@ -310,10 +451,17 @@ class Netlist:
         old_clock = cell.attrs.get("clock")
         if old_clock is None:
             raise NetlistError(f"{cell_name!r} has no clock pin")
+        undo = self._undo
+        if undo is not None:
+            undo.save_cell(cell)
+            undo.save_net(self.nets[old_clock])
         cell.attrs["clock"] = new_clock
         if old_clock not in cell.inputs:
             self.nets[old_clock].sinks.discard(cell_name)
-        self.get_or_add_net(new_clock).sinks.add(cell_name)
+        net = self.get_or_add_net(new_clock)
+        if undo is not None:
+            undo.save_net(net)
+        net.sinks.add(cell_name)
         self._note_structure()
 
     # -- queries --------------------------------------------------------------
@@ -466,31 +614,22 @@ class Netlist:
 
     def __getstate__(self) -> dict:
         # itertools.count is not picklable; __setstate__ re-derives it.  The
-        # journal and topo cache are dropped: an unpickled netlist is a fresh
-        # object no observer holds a cursor into.
+        # journal, topo cache and any open savepoint's undo log are dropped:
+        # an unpickled netlist is a fresh object no observer holds a cursor
+        # into.
         state = self.__dict__.copy()
         del state["_uid"]
         state["_journal"] = []
         state["_journal_base"] = 0
         state["_topo_cache"] = None
+        state["_undo"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         state.setdefault("_max_uid_memo", None)
+        state.setdefault("_undo", None)
         self.__dict__.update(state)
         self._uid = itertools.count(self._max_uid() + 1)
-
-    def replace_with(self, other: "Netlist") -> None:
-        """Adopt ``other``'s contents in place (used to roll back passes)."""
-        self.name = other.name
-        self.nets = other.nets
-        self.cells = other.cells
-        self.primary_inputs = other.primary_inputs
-        self.primary_outputs = other.primary_outputs
-        self._uid = other._uid
-        for cell in self.cells.values():
-            cell._owner = self
-        self._note_structure()
 
     def clone(self) -> "Netlist":
         """Deep-copy the netlist (cells, nets, port lists).

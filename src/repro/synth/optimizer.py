@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import perf
+from .. import obs, perf
 from ..hdl.netlist import Netlist
 from . import soa
 from .library import TechLibrary
@@ -470,15 +470,19 @@ def retime(
     Repeatedly analyzes timing; if the critical endpoint is a register,
     tries a backward move there; if the critical path launches from a
     register, tries a forward move through the first gate.  A move is kept
-    only when the worst slack does not degrade.  Retiming edits are
-    structural, so the shared context engine rebuilds per kept move; the
-    win from the context is pass-to-pass engine reuse, not a fast loop.
+    only when the worst slack does not degrade.  Each move runs under a
+    netlist savepoint: a degrading move (or one that raises) is rolled back
+    from the undo log, which holds only the cells and nets the move
+    touched.  Retiming edits are structural, so the shared context engine
+    rebuilds per kept move; the win from the context is pass-to-pass
+    engine reuse, not a fast loop.
     """
     ctx = _context(context, netlist, library, wireload, constraints)
     engine = ctx.engine
     report = engine.analyze()
     wns_before, area_before = report.cps, engine.total_area()
     moves = 0
+    rollbacks = 0
     stuck_endpoints: set[str] = set()
     for _ in range(max_moves):
         report = engine.analyze()
@@ -487,29 +491,37 @@ def retime(
         endpoint = report.critical_path.endpoint
         if endpoint in stuck_endpoints:
             break
-        snapshot = netlist.clone()
-        moved = False
-        if endpoint.startswith("reg:"):
-            moved = _retime_backward(netlist, endpoint[4:])
-        if not moved:
-            # Try a forward move through the first combinational gate on
-            # the path (its inputs may all be registered).
-            for point in report.critical_path.points:
-                if point.cell in netlist.cells and not netlist.cells[point.cell].is_sequential:
-                    moved = _retime_forward(netlist, point.cell)
-                    if moved:
-                        break
-        if not moved:
+        netlist.savepoint()
+        try:
+            moved = False
+            if endpoint.startswith("reg:"):
+                moved = _retime_backward(netlist, endpoint[4:])
+            if not moved:
+                # Try a forward move through the first combinational gate on
+                # the path (its inputs may all be registered).
+                for point in report.critical_path.points:
+                    if point.cell in netlist.cells and not netlist.cells[point.cell].is_sequential:
+                        moved = _retime_forward(netlist, point.cell)
+                        if moved:
+                            break
+            new_report = engine.analyze(with_paths=False) if moved else None
+        except BaseException:
+            netlist.rollback()
+            raise
+        if moved and new_report.cps < report.cps - 1e-9:
+            netlist.rollback()  # degraded
+            rollbacks += 1
+            perf.incr("opt.retime_rollback")
             stuck_endpoints.add(endpoint)
             continue
-        new_report = engine.analyze(with_paths=False)
-        if new_report.cps < report.cps - 1e-9:
-            netlist.replace_with(snapshot)  # degraded: roll back
+        netlist.release()
+        if not moved:
             stuck_endpoints.add(endpoint)
             continue
         if new_report.cps - report.cps < 1e-9:
             stuck_endpoints.add(endpoint)
         moves += 1
+    obs.current_span().set_attribute("rollbacks", rollbacks)
     final = engine.analyze(with_paths=False)
     return PassResult(
         name="retime",

@@ -537,9 +537,15 @@ class TimingEngine:
         )
 
     def dynamic_power(self, activity: float = 0.1, voltage: float = 1.1) -> float:
-        """Switching power estimate in uW: alpha * C * V^2 * f."""
-        self._sync()
-        total_cap_ff = sum(self._load_of(n) for n in self.netlist.nets)
+        """Switching power estimate in uW: alpha * C * V^2 * f.
+
+        Sums the kernel's per-net loads after folding pending resizes.  The
+        kernel's nets are in ``netlist.nets`` order and each load matches
+        the per-net Python formula bit for bit, so the sequential sum is
+        identical to the net-by-net walk (the reference in ``tests/oracles``).
+        """
+        self._fold_for_trial()
+        total_cap_ff = sum(self._kernel.loads.tolist())
         freq_ghz = 1.0 / max(self.constraints.clock_period, 1e-9)
         # fF * V^2 * GHz = uW
         return activity * total_cap_ff * voltage**2 * freq_ghz

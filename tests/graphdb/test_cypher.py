@@ -1,5 +1,7 @@
 """Tests for the Cypher-subset parser and executor."""
 
+import pickle
+
 import pytest
 
 from repro.graphdb import (
@@ -90,6 +92,50 @@ class TestParser:
     def test_non_integer_bound_raises_cypher_error(self, query):
         with pytest.raises(CypherError, match="expected an integer"):
             parse_cypher(query)
+
+
+class TestErrorLocations:
+    def _error(self, query):
+        with pytest.raises(CypherError) as info:
+            parse_cypher(query)
+        return info.value
+
+    def test_parse_error_names_offending_token(self):
+        err = self._error("MATCH (a RETURN a")
+        assert str(err) == "expected ), got 'RETURN' at 1:10"
+        assert (err.line, err.col) == (1, 10)
+
+    def test_tokenize_error(self):
+        err = self._error("MATCH (n)\nWHERE n.x = \"unterminated RETURN n")
+        assert (err.line, err.col) == (2, 13)
+        assert "cannot tokenize" in str(err) and str(err).endswith("at 2:13")
+
+    def test_bad_limit(self):
+        err = self._error("MATCH (n)\n  RETURN n\n  LIMIT 2.5")
+        assert "expected an integer, got '2.5'" in str(err)
+        assert (err.line, err.col) == (3, 9)
+
+    @pytest.mark.parametrize(
+        "query, col",
+        [
+            ("MATCH (a)-[*1..x]->(b) RETURN a", 16),
+            ("MATCH (a)-[*1.3]->(b) RETURN a", 13),
+            ("MATCH (a)-[*1..2.5]->(b) RETURN a", 16),
+        ],
+    )
+    def test_bad_hop_bound(self, query, col):
+        err = self._error(query)
+        assert (err.line, err.col) == (1, col)
+        assert str(err).endswith(f"at 1:{col}")
+
+    def test_end_of_input_located_past_last_token(self):
+        err = self._error("MATCH (n) RETURN")
+        assert (err.line, err.col) == (1, 17)
+
+    def test_location_survives_pickling(self):
+        err = self._error("MATCH (a RETURN a")
+        copy = pickle.loads(pickle.dumps(err))
+        assert (str(copy), copy.line, copy.col) == (str(err), 1, 10)
 
 
 class TestMatchExecution:

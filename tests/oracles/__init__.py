@@ -11,7 +11,7 @@ imports this package.
   update, recorded-predecessor path trace, apply/measure/revert trials.
 * :mod:`.power` — per-cell probability/activity propagation.
 * :mod:`.passes` — apply/analyze/revert candidate loops of the sizing,
-  area-recovery and fanout-buffering passes.
+  area-recovery and fanout-buffering passes, and clone-snapshot retiming.
 * :mod:`.gnn` — per-graph metric-learning epochs and the O(n^2) loop
   multi-similarity loss.
 """

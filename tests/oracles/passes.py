@@ -1,10 +1,13 @@
 """Scalar pass-loop references: apply, analyze, revert — one trial at a time.
 
 The production passes in :mod:`repro.synth.optimizer` score candidates in
-batched kernel sweeps and seed the buffering worklist from one fanout
-scan.  The loops here are the direct formulations they must reproduce:
-same candidate order, same acceptance tests, hence the same accepted
-changes, the same final netlist and the same QoR.
+batched kernel sweeps, seed the buffering worklist from one fanout scan
+and undo rejected retiming moves from a netlist savepoint.  The loops
+here are the direct formulations they must reproduce: same candidate
+order, same acceptance tests, hence the same accepted changes, the same
+final netlist and the same QoR.  The retiming reference snapshots the
+whole netlist with ``clone()`` before every move and rolls back by
+adopting the snapshot's contents.
 
 :func:`scalar_flow` routes a whole :class:`~repro.synth.dcshell.DCShell`
 session through these loops and :class:`~.timing.ScalarTimingEngine`.
@@ -17,7 +20,7 @@ from unittest import mock
 
 from repro import perf
 from repro.synth import dcshell
-from repro.synth.optimizer import PassResult
+from repro.synth.optimizer import PassResult, _retime_backward, _retime_forward
 from repro.synth.passes import PassContext
 
 from .timing import ScalarTimingEngine
@@ -192,6 +195,70 @@ def buffer_high_fanout(
     )
 
 
+def _adopt(netlist, snapshot) -> None:
+    """Roll ``netlist`` back by taking over a clone's contents in place."""
+    netlist.name = snapshot.name
+    netlist.nets = snapshot.nets
+    netlist.cells = snapshot.cells
+    netlist.primary_inputs = snapshot.primary_inputs
+    netlist.primary_outputs = snapshot.primary_outputs
+    netlist._uid = snapshot._uid
+    for cell in netlist.cells.values():
+        cell._owner = netlist
+    netlist.touch()
+
+
+def retime(
+    netlist, library, wireload, constraints,
+    max_moves=200, context=None,
+) -> PassResult:
+    """Greedy min-period retiming with a clone snapshot before every move."""
+    ctx = _context(context, netlist, library, wireload, constraints)
+    engine = ctx.engine
+    report = engine.analyze()
+    wns_before, area_before = report.cps, engine.total_area()
+    moves = 0
+    stuck_endpoints: set[str] = set()
+    for _ in range(max_moves):
+        report = engine.analyze()
+        if report.cps >= 0 or report.critical_path is None:
+            break
+        endpoint = report.critical_path.endpoint
+        if endpoint in stuck_endpoints:
+            break
+        snapshot = netlist.clone()
+        moved = False
+        if endpoint.startswith("reg:"):
+            moved = _retime_backward(netlist, endpoint[4:])
+        if not moved:
+            for point in report.critical_path.points:
+                cell = netlist.cells.get(point.cell)
+                if cell is not None and not cell.is_sequential:
+                    moved = _retime_forward(netlist, point.cell)
+                    if moved:
+                        break
+        if not moved:
+            stuck_endpoints.add(endpoint)
+            continue
+        new_report = engine.analyze(with_paths=False)
+        if new_report.cps < report.cps - 1e-9:
+            _adopt(netlist, snapshot)
+            stuck_endpoints.add(endpoint)
+            continue
+        if new_report.cps - report.cps < 1e-9:
+            stuck_endpoints.add(endpoint)
+        moves += 1
+    final = engine.analyze(with_paths=False)
+    return PassResult(
+        name="retime",
+        changes=moves,
+        wns_before=wns_before,
+        wns_after=final.cps,
+        area_before=area_before,
+        area_after=engine.total_area(),
+    )
+
+
 @contextlib.contextmanager
 def scalar_flow():
     """Run ``DCShell`` sessions on the scalar engine and pass loops."""
@@ -201,5 +268,6 @@ def scalar_flow():
         size_gates=size_gates,
         recover_area=recover_area,
         buffer_high_fanout=buffer_high_fanout,
+        retime=retime,
     ):
         yield

@@ -13,7 +13,8 @@ reproduce bit for bit:
 * trials — every lane applied through the change journal, measured with
   the incremental update and reverted.
 
-It never builds a kernel, so ``total_area`` takes the engine's Python fold.
+It never builds a kernel, so ``total_area`` takes the engine's Python fold
+and ``dynamic_power`` walks every net's load.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ class ScalarTimingEngine(TimingEngine):
         if not self._ep_slack:
             return 0.0
         return round(min(self._ep_slack.values()), 4)
+
+    def dynamic_power(self, activity: float = 0.1, voltage: float = 1.1) -> float:
+        """Switching power from a net-by-net walk of the load formula."""
+        self._sync()
+        total_cap_ff = sum(self._load_of(n) for n in self.netlist.nets)
+        freq_ghz = 1.0 / max(self.constraints.clock_period, 1e-9)
+        return activity * total_cap_ff * voltage**2 * freq_ghz
 
     def _apply_measure_revert(self, trials, measure) -> list:
         cells = self.netlist.cells
