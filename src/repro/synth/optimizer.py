@@ -31,10 +31,10 @@ import numpy as np
 
 from .. import obs, perf
 from ..hdl.netlist import Netlist
-from . import soa
 from .library import TechLibrary
 from .passes import PassContext
 from .sdc import Constraints
+from .timing import TimingEngine
 from .wireload import WireLoadModel
 
 __all__ = [
@@ -264,37 +264,26 @@ def recover_area(
 # -- fanout buffering -------------------------------------------------------------
 
 
-def _overloaded_nets(netlist, limit: int) -> list[str]:
+def _overloaded_nets(engine: TimingEngine, limit: int) -> list[str]:
     """Nets with more than ``limit`` data pins, in definition order.
 
-    One vectorized scan over the cached SoA pair arrays when the lowering
-    is journal-valid (pair pins minus sequential clock pins), else one
-    Python sweep over the cells.  Seeding the buffer worklist with only
-    these nets is exact: the full worklist's visits to in-limit nets are
-    no-ops, and buffering one net never adds data pins to another
-    pre-existing net, so the mutation sequence (and with it every
-    generated net/cell uid) is unchanged.
+    One vectorized scan over the SoA pair arrays of ``engine``'s kernel,
+    which the caller's ``engine.analyze()`` has just brought up to date
+    (pair pins minus sequential clock pins).  Seeding the buffer worklist
+    with only these nets is exact: the full worklist's visits to
+    in-limit nets are no-ops, and buffering one net never adds data pins
+    to another pre-existing net, so the mutation sequence (and with it
+    every generated net/cell uid) is unchanged.
     """
-    structure = soa.peek_structure(netlist)
-    if structure is not None:
-        pins = np.bincount(
-            structure.pair_net,
-            weights=structure.pair_pins,
-            minlength=structure.num_nets,
-        )
-        for ci in structure.seq_cells.tolist():
-            clock = netlist.cells[structure.cell_names[ci]].attrs.get("clock")
-            if clock is not None:
-                pins[structure.net_index[clock]] -= 1.0
-        over = pins > limit
-        return [
-            name for ni, name in enumerate(structure.net_names) if over[ni]
-        ]
-    counts: dict[str, int] = {}
-    for cell in netlist.cells.values():
-        for net_in in cell.inputs:
-            counts[net_in] = counts.get(net_in, 0) + 1
-    return [name for name in netlist.nets if counts.get(name, 0) > limit]
+    s = engine.kernel.s
+    pins = np.bincount(s.pair_net, weights=s.pair_pins, minlength=s.num_nets)
+    cells = engine.netlist.cells
+    for ci in s.seq_cells.tolist():
+        clock = cells[s.cell_names[ci]].attrs.get("clock")
+        if clock is not None:
+            pins[s.net_index[clock]] -= 1.0
+    over = pins > limit
+    return [name for ni, name in enumerate(s.net_names) if over[ni]]
 
 
 @_timed
@@ -320,7 +309,7 @@ def buffer_high_fanout(
     area_before = engine.total_area()
     buf_cell = library.variants("BUF")[-1]
     changes = 0
-    worklist = _overloaded_nets(netlist, limit)
+    worklist = _overloaded_nets(engine, limit)
     while worklist:
         net_name = worklist.pop()
         net = netlist.nets.get(net_name)

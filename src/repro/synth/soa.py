@@ -7,17 +7,23 @@ into levelized numpy arrays and runs the hot analyses of
 :class:`~repro.synth.power.PowerAnalyzer` as per-level vectorized
 kernels:
 
-* **Lowering** (:class:`SoAStructure`) — cells and nets are assigned
-  dense indices; net loads become a ``bincount`` over (net, sink-pin)
-  contribution pairs; combinational cells are levelized so that every
-  cell's inputs come from strictly lower levels.  The structure depends
-  only on netlist *topology*: it is cached per netlist and revalidated
-  against the change journal, so resize-only edit streams (the sizing
-  loop) and fresh engines over an unchanged netlist reuse it.
+* **Lowering** (:class:`SoAStructure`) — two steps.  *Extract* makes one
+  pass over ``netlist.cells`` and one over ``netlist.nets`` into flat
+  index arrays: a cell-order input CSR, output nets, gate names and
+  clock pins per cell, the net flags, and the ``(net, sink)`` pairs in
+  ``net.sinks`` order.  *Derive* computes everything else from those
+  arrays in numpy: pin counts per pair, the per-net pair segments,
+  fanouts and external caps, the register/constant/port endpoint
+  orders, and the levels, from a frontier Kahn sort over the
+  comb→comb reader CSR (so every cell's inputs come from strictly lower
+  levels).  The structure depends only on netlist *topology*; the
+  kernel that owns it keeps it across resizes and a structural edit
+  builds a new kernel.
 * **Binding** (:class:`SoAKernel`) — per-cell library parameters
   (input cap, drive resistance, intrinsic delay / clk-to-q, setup,
   leakage, drive index) live in a row matrix indexed by a per-cell row
-  vector; a resize rewrites one row index.
+  vector, resolved once per distinct ``(gate, lib_cell)`` binding; a
+  resize rewrites one row index.
 * **Kernels** — full STA arrival propagation is one
   ``np.maximum.reduceat`` + add per level; endpoint slack, WNS/CPS/TNS
   reduction and activity/power estimation are single vector
@@ -37,28 +43,36 @@ bit-identical to the scalar reference engines in ``tests/oracles``; only
 whole-design power *sums* may differ at float rounding level (numpy
 pairwise summation), which vanishes under the reports' 3-decimal
 rounding.  ``tests/synth/test_soa_parity.py`` enforces this.
+
+The order of cells *within* a level is free (the lowering lists them by
+cell index; ``tests/oracles/soa.py`` keeps the topological-sort order of
+the per-cell reference): cells of one level never read each other's
+outputs, and every consumer of a level — the arrival kernel, the trial
+sweep and the power schedule — is elementwise over its cells, so any
+permutation produces the same values.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_not
 
 import numpy as np
 
 from .. import perf
+from ..hdl.netlist import NetlistError
 
 __all__ = [
     "SoAStructure",
     "SoAKernel",
-    "get_structure",
-    "peek_structure",
-    "structure_cache_stats",
-    "clear_structure_cache",
+    "lowering_stats",
     "vector_power",
 ]
 
 _CONSTS = ("CONST0", "CONST1")
+
+#: Gate kinds the lowering tells apart (every other gate is combinational).
+_KIND = {"DFF": 1, "CONST0": 2, "CONST1": 3}
 
 
 class _Level:
@@ -73,11 +87,33 @@ class _Level:
         self.in_net = in_net  # flat input net indices (cell.inputs order)
 
 
+def _csr_ptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointer (length ``len(counts) + 1``) for per-row counts."""
+    ptr = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _csr_gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of CSR ``rows`` (concatenated) and their row pointer."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    sub_ptr = _csr_ptr(counts)
+    flat = np.repeat(starts - sub_ptr[:-1], counts) + np.arange(
+        sub_ptr[-1], dtype=np.intp
+    )
+    return flat, sub_ptr
+
+
 class SoAStructure:
     """Topology-only lowering of one netlist into dense arrays.
 
     Valid until the next *structural* journal event; resizes never
     invalidate it (pin counts, fanouts and levels are binding-free).
+
+    Raises:
+        NetlistError: if the combinational logic contains a cycle, or a
+            register has no data input.
     """
 
     __slots__ = (
@@ -90,150 +126,195 @@ class SoAStructure:
         "pi_nets", "pi_is_clock",
         "seq_cells", "seq_out", "seq_d", "seq_names",
         "const_out", "const0_out", "const1_out",
-        "po_nets", "po_names",
+        "po_names", "po_nets",
         "_power_schedule",
     )
 
     def __init__(self, netlist) -> None:
+        # -- extract: one pass over the cells, one over the nets ---------------
         nets = netlist.nets
         cells = netlist.cells
-        self.net_names = list(nets)
-        self.net_index = {name: i for i, name in enumerate(self.net_names)}
-        self.cell_names = list(cells)
-        self.cell_index = {name: i for i, name in enumerate(self.cell_names)}
-        self.num_nets = len(self.net_names)
-        self.num_cells = len(self.cell_names)
-        net_index = self.net_index
-        cell_index = self.cell_index
+        self.net_names = net_names = list(nets)
+        self.cell_names = cell_names = list(cells)
+        self.num_nets = num_nets = len(net_names)
+        self.num_cells = num_cells = len(cell_names)
+        self.net_index = net_index = dict(zip(net_names, range(num_nets)))
+        self.cell_index = cell_index = dict(zip(cell_names, range(num_cells)))
+        net_at = net_index.__getitem__
 
-        # -- per-net electricals: (net, sink) pin pairs in the exact order the
-        # scalar load loop visits them, so bincount accumulates identically.
-        pair_net: list[int] = []
-        pair_cell: list[int] = []
-        pair_pins: list[float] = []
-        fanout = np.zeros(self.num_nets, dtype=np.int64)
-        net_is_output = np.zeros(self.num_nets, dtype=bool)
-        net_is_clock = np.zeros(self.num_nets, dtype=bool)
-        net_is_input = np.zeros(self.num_nets, dtype=bool)
-        net_has_driver = np.zeros(self.num_nets, dtype=bool)
-        for ni, (name, net) in enumerate(nets.items()):
-            net_is_output[ni] = net.is_output
-            net_is_clock[ni] = net.is_clock
-            net_is_input[ni] = net.is_input
-            net_has_driver[ni] = net.driver is not None
-            pins_total = 0
-            for sink_name in net.sinks:
-                sink = cells[sink_name]
-                pins = sink.inputs.count(name)
-                if sink.attrs.get("clock") == name:
-                    pins += 1
-                if pins:
-                    pair_net.append(ni)
-                    pair_cell.append(cell_index[sink_name])
-                    pair_pins.append(float(pins))
-                pins_total += pins
-            if net.is_output:
-                pins_total += 1
-            fanout[ni] = pins_total
-        self.pair_net = np.asarray(pair_net, dtype=np.intp)
-        self.pair_cell = np.asarray(pair_cell, dtype=np.intp)
-        self.pair_pins = np.asarray(pair_pins, dtype=np.float64)
+        cell_objs = list(cells.values())
+        self.cell_gate = gates = list(map(attrgetter("gate"), cell_objs))
+        input_lists = list(map(attrgetter("inputs"), cell_objs))
+        attrs = list(map(attrgetter("attrs"), cell_objs))
+        cell_out = np.fromiter(
+            map(net_at, map(attrgetter("output"), cell_objs)),
+            dtype=np.intp, count=num_cells,
+        )
+        in_count = np.fromiter(map(len, input_lists), dtype=np.intp, count=num_cells)
+        in_ptr = _csr_ptr(in_count)
+        in_net = np.fromiter(
+            map(net_at, chain.from_iterable(input_lists)),
+            dtype=np.intp, count=int(in_ptr[-1]),
+        )
+        cell_clock = np.full(num_cells, -1, dtype=np.intp)  # clock net or -1
+        for ci in compress(range(num_cells), attrs):  # cells with attrs only
+            clock = attrs[ci].get("clock")
+            if clock is not None and clock in net_index:
+                cell_clock[ci] = net_index[clock]
+        kind = np.fromiter(
+            map(_KIND.get, gates, repeat(0)), dtype=np.int8, count=num_cells
+        )
+        del cell_objs, input_lists, attrs
+
+        net_objs = list(nets.values())
+
+        def net_flag(attr):
+            return np.fromiter(
+                map(attrgetter(attr), net_objs), dtype=bool, count=num_nets
+            )
+
+        net_is_input = net_flag("is_input")
+        net_is_output = net_flag("is_output")
+        net_is_clock = net_flag("is_clock")
+        net_has_driver = np.fromiter(
+            map(is_not, map(attrgetter("driver"), net_objs), repeat(None)),
+            dtype=bool, count=num_nets,
+        )
+        sink_lists = list(map(attrgetter("sinks"), net_objs))
+        sink_count = np.fromiter(map(len, sink_lists), dtype=np.intp, count=num_nets)
+        raw_cell = np.fromiter(
+            map(cell_index.__getitem__, chain.from_iterable(sink_lists)),
+            dtype=np.intp, count=int(sink_count.sum()),
+        )
+        raw_net = np.repeat(np.arange(num_nets, dtype=np.intp), sink_count)
+        del net_objs, sink_lists
+
+        # -- derive: (net, sink) pin counts, pair segments, fanouts ------------
+        # A sink's pin count on a net is its clock pin plus the input pins
+        # reading that net; gates have at most a few inputs, so compare
+        # pin k of every pair's cell, over the pairs whose cell has one.
+        pins = (cell_clock[raw_cell] == raw_net).astype(np.int64)
+        first = in_ptr[raw_cell]
+        arity = in_count[raw_cell]
+        live = np.flatnonzero(arity > 0)
+        k = 0
+        while live.size:
+            pins[live] += in_net[first[live] + k] == raw_net[live]
+            k += 1
+            live = live[arity[live] > k]
+        del first, arity, live
+        # Pairs in exact (net, net.sinks) order so bincount accumulates pin
+        # caps identically to the scalar load loop; pin-less sinks drop out.
+        keep = pins > 0
+        self.pair_net = raw_net[keep]
+        self.pair_cell = raw_cell[keep]
+        self.pair_pins = pins[keep].astype(np.float64)
+        del raw_net, raw_cell, pins, keep
         # CSR over the (sorted-by-net) pair arrays: pairs of net ``ni`` live
         # in ``pair_ptr[ni]:pair_ptr[ni + 1]`` — the per-net segment view the
         # batched trial evaluator uses to re-accumulate single net loads.
-        self.pair_ptr = np.searchsorted(
-            self.pair_net, np.arange(self.num_nets + 1)
+        self.pair_ptr = np.searchsorted(self.pair_net, np.arange(num_nets + 1))
+        self.fanout = (
+            np.bincount(
+                self.pair_net, weights=self.pair_pins, minlength=num_nets
+            ).astype(np.int64)
+            + net_is_output
         )
-        self.fanout = fanout
         self.ext_cap = np.where(net_is_output, 2.0, 0.0)
         self.net_is_output = net_is_output
         self.net_is_clock = net_is_clock
         self.net_is_input = net_is_input
         self.net_has_driver = net_has_driver
 
-        # -- per-cell skeleton -------------------------------------------------
-        cell_out = np.zeros(self.num_cells, dtype=np.intp)
-        cell_is_seq = np.zeros(self.num_cells, dtype=bool)
-        cell_is_const = np.zeros(self.num_cells, dtype=bool)
-        self.cell_gate = []
-        seq_cells: list[int] = []
-        seq_out: list[int] = []
-        seq_d: list[int] = []
-        seq_names: list[str] = []
-        const_out: list[int] = []
-        const0_out: list[int] = []
-        const1_out: list[int] = []
-        for ci, (name, cell) in enumerate(cells.items()):
-            cell_out[ci] = net_index[cell.output]
-            self.cell_gate.append(cell.gate)
-            if cell.is_sequential:
-                cell_is_seq[ci] = True
-                seq_cells.append(ci)
-                seq_out.append(net_index[cell.output])
-                seq_d.append(net_index[cell.inputs[0]])
-                seq_names.append(name)
-            elif cell.gate in _CONSTS:
-                cell_is_const[ci] = True
-                const_out.append(net_index[cell.output])
-                if cell.gate == "CONST0":
-                    const0_out.append(net_index[cell.output])
-                else:
-                    const1_out.append(net_index[cell.output])
+        # -- derive: per-cell kinds and endpoint orders (cells dict order) ------
+        is_const0 = kind == _KIND["CONST0"]
+        is_const1 = kind == _KIND["CONST1"]
+        cell_is_seq = kind == _KIND["DFF"]
+        cell_is_const = is_const0 | is_const1
+        seq_cells = np.flatnonzero(cell_is_seq)
+        if (in_count[seq_cells] == 0).any():
+            raise NetlistError("register without a data input")
         self.cell_out = cell_out
         self.cell_is_seq = cell_is_seq
         self.cell_is_const = cell_is_const
-        self.seq_cells = np.asarray(seq_cells, dtype=np.intp)
-        self.seq_out = np.asarray(seq_out, dtype=np.intp)
-        self.seq_d = np.asarray(seq_d, dtype=np.intp)
-        self.seq_names = seq_names
-        self.const_out = np.asarray(const_out, dtype=np.intp)
-        self.const0_out = np.asarray(const0_out, dtype=np.intp)
-        self.const1_out = np.asarray(const1_out, dtype=np.intp)
+        self.seq_cells = seq_cells
+        self.seq_out = cell_out[seq_cells]
+        self.seq_d = in_net[in_ptr[seq_cells]]
+        self.seq_names = [cell_names[ci] for ci in seq_cells.tolist()]
+        self.const_out = cell_out[cell_is_const]
+        self.const0_out = cell_out[is_const0]
+        self.const1_out = cell_out[is_const1]
 
-        # -- levelization: level(cell) = max level of its input nets; a net
-        # driven by a comb cell carries that cell's level + 1, sources carry 0.
-        net_level = np.zeros(self.num_nets, dtype=np.int64)
-        cell_level = np.full(self.num_cells, -1, dtype=np.int64)
-        buckets: list[dict] = []  # per level: {"cells": [], "out": [], "in": [], "ptr": []}
-        for cell in netlist.topological_cells():
-            if cell.gate in _CONSTS:
-                continue
-            ci = cell_index[cell.name]
-            lvl = 0
-            in_ids = [net_index[n] for n in cell.inputs]
-            for ni in in_ids:
-                if net_level[ni] > lvl:
-                    lvl = net_level[ni]
-            cell_level[ci] = lvl
-            net_level[cell_out[ci]] = lvl + 1
-            while len(buckets) <= lvl:
-                buckets.append({"cells": [], "out": [], "in": [], "ptr": [0]})
-            bucket = buckets[lvl]
-            bucket["cells"].append(ci)
-            bucket["out"].append(cell_out[ci])
-            bucket["in"].extend(in_ids)
-            bucket["ptr"].append(len(bucket["in"]))
+        # -- derive: levels -----------------------------------------------------
+        # level(cell) = 0 without combinational drivers, else one more than
+        # its deepest one.  Registers and constants launch at level 0 and
+        # are not levelized.  A frontier Kahn sort over comb->comb edges
+        # assigns exactly that: a cell joins frontier k when the last of
+        # its drivers left frontier k - 1.
+        comb = ~(cell_is_seq | cell_is_const)
+        comb_ext = np.append(comb, False)  # index num_cells: undriven net
+        net_driver = np.full(num_nets, num_cells, dtype=np.intp)
+        net_driver[cell_out] = np.arange(num_cells, dtype=np.intp)
+        pin_cell = np.repeat(np.arange(num_cells, dtype=np.intp), in_count)
+        pin_driver = net_driver[in_net]
+        edge = comb[pin_cell] & comb_ext[pin_driver]
+        src = pin_driver[edge]
+        dst = pin_cell[edge]
+        del net_driver, pin_cell, pin_driver, edge
+        indegree = np.bincount(dst, minlength=num_cells)
+        order = np.argsort(src, kind="stable")
+        readers = dst[order]
+        reader_ptr = _csr_ptr(np.bincount(src, minlength=num_cells))
+        del src, dst, order
+        cell_level = np.full(num_cells, -1, dtype=np.int64)
+        last_seen = np.empty(num_cells, dtype=np.intp)
+        frontier = np.flatnonzero(comb & (indegree == 0))
+        depth = 0
+        placed = 0
+        while frontier.size:
+            cell_level[frontier] = depth
+            placed += frontier.size
+            reached = readers[_csr_gather(reader_ptr, frontier)[0]]
+            np.subtract.at(indegree, reached, 1)
+            reached = reached[indegree[reached] == 0]
+            # a cell read on several pins appears once per pin: keep one
+            pos = np.arange(reached.size)
+            last_seen[reached] = pos
+            frontier = reached[last_seen[reached] == pos]
+            depth += 1
+        if placed != int(np.count_nonzero(comb)):
+            raise NetlistError("combinational cycle detected")
         self.cell_level = cell_level
+        # All levels' cells (by level, then cell index) with their input CSR
+        # gathered once; each level is a slice of these arrays.
+        comb_cells = np.flatnonzero(comb)
+        by_level = comb_cells[np.argsort(cell_level[comb_cells], kind="stable")]
+        num_levels = int(cell_level[by_level[-1]]) + 1 if by_level.size else 0
+        bounds = np.searchsorted(
+            cell_level[by_level], np.arange(num_levels + 1)
+        ).tolist()
+        flat, lvl_ptr = _csr_gather(in_ptr, by_level)
+        lvl_in = in_net[flat]
+        lvl_out = cell_out[by_level]
         self.levels = [
             _Level(
-                np.asarray(b["cells"], dtype=np.intp),
-                np.asarray(b["out"], dtype=np.intp),
-                np.asarray(b["ptr"], dtype=np.intp),
-                np.asarray(b["in"], dtype=np.intp),
+                by_level[a:b],
+                lvl_out[a:b],
+                lvl_ptr[a : b + 1] - lvl_ptr[a],
+                lvl_in[lvl_ptr[a] : lvl_ptr[b]],
             )
-            for b in buckets
+            for a, b in zip(bounds[:-1], bounds[1:])
         ]
 
         # -- launch / endpoint orderings (match scalar dict construction) -----
-        self.pi_nets = np.asarray(
-            [net_index[n] for n in netlist.primary_inputs], dtype=np.intp
+        self.pi_nets = np.fromiter(
+            map(net_at, netlist.primary_inputs),
+            dtype=np.intp, count=len(netlist.primary_inputs),
         )
-        self.pi_is_clock = np.asarray(
-            [nets[n].is_clock for n in netlist.primary_inputs], dtype=bool
-        )
+        self.pi_is_clock = net_is_clock[self.pi_nets]
         self.po_names = list(netlist.primary_outputs)
-        self.po_nets = np.asarray(
-            [net_index[n] for n in self.po_names], dtype=np.intp
+        self.po_nets = np.fromiter(
+            map(net_at, self.po_names), dtype=np.intp, count=len(self.po_names)
         )
         self._power_schedule = None
 
@@ -271,63 +352,9 @@ class SoAStructure:
         return schedule
 
 
-# -- structure cache -----------------------------------------------------------
-
-_STRUCT_LOCK = threading.Lock()
-_STRUCTURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_STRUCT_HITS = 0
-_STRUCT_MISSES = 0
-
-
-def get_structure(netlist) -> SoAStructure:
-    """The lowered structure for ``netlist``, reusing a journal-valid cache."""
-    global _STRUCT_HITS, _STRUCT_MISSES
-    with _STRUCT_LOCK:
-        entry = _STRUCTURES.get(netlist)
-        if entry is not None:
-            cursor, structure = entry
-            events = netlist.journal_since(cursor)
-            if events is not None and all(kind == "resize" for kind, _ in events):
-                _STRUCTURES[netlist] = (netlist.version, structure)
-                _STRUCT_HITS += 1
-                perf.incr("soa.structure_hit")
-                return structure
-    with perf.timer("sta.lower"):
-        structure = SoAStructure(netlist)
-    with _STRUCT_LOCK:
-        _STRUCT_MISSES += 1
-        _STRUCTURES[netlist] = (netlist.version, structure)
-    perf.incr("soa.structure_miss")
-    return structure
-
-
-def peek_structure(netlist) -> SoAStructure | None:
-    """The cached lowering for ``netlist`` if still journal-valid, else None.
-
-    Unlike :func:`get_structure` this never lowers: callers that merely
-    *benefit* from the arrays (e.g. the fanout scan in
-    ``buffer_high_fanout``) use it to avoid paying a full lowering for a
-    netlist that is about to be structurally edited anyway.
-    """
-    with _STRUCT_LOCK:
-        entry = _STRUCTURES.get(netlist)
-        if entry is None:
-            return None
-        cursor, structure = entry
-        events = netlist.journal_since(cursor)
-        if events is not None and all(kind == "resize" for kind, _ in events):
-            return structure
-    return None
-
-
-def structure_cache_stats() -> dict:
+def lowering_stats() -> dict:
     """Lowering/kernel activity, shaped for ``perf.snapshot()["caches"]``."""
-    with _STRUCT_LOCK:
-        entries, hits, misses = len(_STRUCTURES), _STRUCT_HITS, _STRUCT_MISSES
     return {
-        "entries": entries,
-        "hits": hits,
-        "misses": misses,
         "lower_s": round(perf.elapsed("sta.lower"), 6),
         "kernel_s": round(perf.elapsed("sta.kernel"), 6),
         "levels_run": perf.counter("sta.vector_levels"),
@@ -336,15 +363,7 @@ def structure_cache_stats() -> dict:
     }
 
 
-def clear_structure_cache() -> None:
-    global _STRUCT_HITS, _STRUCT_MISSES
-    with _STRUCT_LOCK:
-        _STRUCTURES.clear()
-        _STRUCT_HITS = 0
-        _STRUCT_MISSES = 0
-
-
-perf.register_stats_provider("vector_sta", structure_cache_stats)
+perf.register_stats_provider("vector_sta", lowering_stats)
 
 
 # -- kernel --------------------------------------------------------------------
@@ -365,16 +384,24 @@ class SoAKernel:
         self.library = library
         self.wireload = wireload
         self.constraints = constraints
-        self.s = get_structure(netlist)
-        s = self.s
-        # library binding: per-cell row index into a parameter matrix
+        with perf.timer("sta.lower"):
+            self.s = s = SoAStructure(netlist)
+        # library binding: per-cell row index into a parameter matrix,
+        # resolved once per distinct (gate, lib_cell) binding in order of
+        # first appearance (so row numbers follow the cells dict order)
         self._rows: list[tuple] = []
         self._row_of: dict = {}
         self._params: np.ndarray | None = None
-        self.cell_row = np.zeros(s.num_cells, dtype=np.intp)
-        cells = netlist.cells
-        for ci, name in enumerate(s.cell_names):
-            self.cell_row[ci] = self._resolve_row(cells[name])
+        bindings = list(
+            map(attrgetter("gate", "lib_cell"), netlist.cells.values())
+        )
+        row_of_binding = dict.fromkeys(bindings)
+        for gate, lib_cell in row_of_binding:
+            row_of_binding[gate, lib_cell] = self._row_for_binding(gate, lib_cell)
+        self.cell_row = np.fromiter(
+            map(row_of_binding.__getitem__, bindings),
+            dtype=np.intp, count=len(bindings),
+        )
         # constraint vectors (constraints object frozen per kernel)
         launch = ~self._pi_clock_mask()
         self.pi_launch = s.pi_nets[launch]

@@ -19,8 +19,8 @@ Incremental analysis
 
 Arrival propagation and slack reduction run through the
 structure-of-arrays kernels in :mod:`repro.synth.soa`.  Full rebuilds
-lower the netlist once (cached per netlist across engines) and propagate
-level by level.  The engine subscribes to the netlist's change journal
+lower the netlist into a fresh kernel and propagate level by level.
+The engine subscribes to the netlist's change journal
 (:mod:`repro.hdl.netlist`): when the only changes since the last
 ``analyze()`` are cell *resizes* (``lib_cell`` rebinds — the gate-sizing
 hot loop), the kernel rebinds the resized rows and re-runs only the
@@ -33,6 +33,8 @@ over the netlist (the scalar reference engine in ``tests/oracles``).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 from .. import obs, perf
@@ -42,12 +44,26 @@ from .library import LibCell, TechLibrary
 from .sdc import Constraints
 from .wireload import WireLoadModel
 
-__all__ = ["PathPoint", "TimingPath", "TimingReport", "TimingEngine"]
+__all__ = [
+    "PathPoint", "TimingPath", "TimingReport", "TimingEngine", "strict_sum",
+]
 
 _CONSTS = ("CONST0", "CONST1")
 
 #: Buckets for the trial-batch width histogram (lanes per kernel sweep).
 _TRIAL_BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+
+def strict_sum(values) -> float:
+    """``0.0 + v0 + v1 + ...``, added strictly left to right.
+
+    CPython 3.12 made ``sum()`` of floats compensated (Neumaier), so its
+    low bits depend on the interpreter version and no longer match the
+    kernels' ``cumsum`` folds.  Every whole-design float total that must
+    agree bit for bit across engines goes through this fold instead; on
+    3.11 it equals ``sum()`` exactly.
+    """
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def _observe_trial_batch(lanes: int) -> None:
@@ -140,6 +156,15 @@ class TimingEngine:
         self._endpoints_stale = False
         # structure-of-arrays analysis state; None until the first rebuild
         self._kernel: soa.SoAKernel | None = None
+
+    @property
+    def kernel(self) -> soa.SoAKernel | None:
+        """The SoA kernel of the last analysis (None before the first).
+
+        Current right after :meth:`analyze`; later netlist edits are only
+        folded in by the next analysis.
+        """
+        return self._kernel
 
     # -- electrical model ---------------------------------------------------------
 
@@ -319,7 +344,7 @@ class TimingEngine:
         return self._build_report(with_paths)
 
     def _rebuild(self) -> None:
-        """Lower to SoA arrays (cached per netlist) and run the full kernel."""
+        """Lower to SoA arrays in a new kernel and run the full kernel."""
         kernel = soa.SoAKernel(
             self.netlist, self.library, self.wireload, self.constraints
         )
@@ -491,7 +516,7 @@ class TimingEngine:
         worst_key = min(endpoint_slacks, key=endpoint_slacks.get)
         cps = endpoint_slacks[worst_key]
         wns = min(cps, 0.0)
-        tns = sum(min(s, 0.0) for s in endpoint_slacks.values())
+        tns = strict_sum(min(s, 0.0) for s in endpoint_slacks.values())
         violations = sum(1 for s in endpoint_slacks.values() if s < 0)
 
         critical = None
@@ -517,11 +542,11 @@ class TimingEngine:
         self._sync()
         # Serve from the kernel's binding rows when they are current: one
         # array gather instead of a Python fold over every cell.  The
-        # kernel fold is bit-identical to the Python sum below, which
+        # kernel's cumsum is bit-identical to the strict fold below, which
         # covers resizes the kernel has not folded yet.
         if self._kernel is not None and not self._pending_resizes:
             return self._kernel.committed_area()
-        return sum(
+        return strict_sum(
             self._bound_of(c).area
             for c in self.netlist.cells.values()
             if c.gate not in _CONSTS
@@ -530,7 +555,7 @@ class TimingEngine:
     def total_leakage(self) -> float:
         """Leakage power in nW."""
         self._sync()
-        return sum(
+        return strict_sum(
             self._bound_of(c).leakage
             for c in self.netlist.cells.values()
             if c.gate not in _CONSTS
@@ -541,11 +566,12 @@ class TimingEngine:
 
         Sums the kernel's per-net loads after folding pending resizes.  The
         kernel's nets are in ``netlist.nets`` order and each load matches
-        the per-net Python formula bit for bit, so the sequential sum is
-        identical to the net-by-net walk (the reference in ``tests/oracles``).
+        the per-net Python formula bit for bit, so the strict left-to-right
+        fold is identical to the net-by-net walk (the reference in
+        ``tests/oracles``).
         """
         self._fold_for_trial()
-        total_cap_ff = sum(self._kernel.loads.tolist())
+        total_cap_ff = strict_sum(self._kernel.loads.tolist())
         freq_ghz = 1.0 / max(self.constraints.clock_period, 1e-9)
         # fF * V^2 * GHz = uW
         return activity * total_cap_ff * voltage**2 * freq_ghz

@@ -10,6 +10,8 @@ imports this package.
 * :mod:`.timing` — dict-walk STA: full rebuild, heap-ordered incremental
   update, recorded-predecessor path trace, apply/measure/revert trials.
 * :mod:`.power` — per-cell probability/activity propagation.
+* :mod:`.soa` — the per-cell SoA lowering (sink walk, topological-sort
+  levels).
 * :mod:`.passes` — apply/analyze/revert candidate loops of the sizing,
   area-recovery and fanout-buffering passes, and clone-snapshot retiming.
 * :mod:`.gnn` — per-graph metric-learning epochs and the O(n^2) loop

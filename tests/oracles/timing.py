@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 
 from repro import perf
-from repro.synth.timing import PathPoint, TimingEngine, TimingPath
+from repro.synth.timing import PathPoint, TimingEngine, TimingPath, strict_sum
 
 _CONSTS = ("CONST0", "CONST1")
 
@@ -76,7 +76,7 @@ class ScalarTimingEngine(TimingEngine):
     def dynamic_power(self, activity: float = 0.1, voltage: float = 1.1) -> float:
         """Switching power from a net-by-net walk of the load formula."""
         self._sync()
-        total_cap_ff = sum(self._load_of(n) for n in self.netlist.nets)
+        total_cap_ff = strict_sum(self._load_of(n) for n in self.netlist.nets)
         freq_ghz = 1.0 / max(self.constraints.clock_period, 1e-9)
         return activity * total_cap_ff * voltage**2 * freq_ghz
 

@@ -1,6 +1,8 @@
 """Tests for the technology library and liberty parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.synth import LibCell, TechLibrary, nangate45, parse_liberty, write_liberty
 from repro.synth.liberty import LibertyError
@@ -124,3 +126,111 @@ class TestLiberty:
     def test_garbage_rejected(self):
         with pytest.raises(LibertyError):
             parse_liberty("library (x) { @@@ }")
+
+
+def _one_cell(body: str) -> str:
+    """A library with one cell ``X`` whose attributes/pins are ``body``."""
+    return (
+        "library (t) {\n"
+        "  cell (X) {\n"
+        f"{body}\n"
+        "    pin (o) { direction : output; }\n"
+        "  }\n"
+        "}\n"
+    )
+
+
+def _located(text: str) -> LibertyError:
+    with pytest.raises(LibertyError) as info:
+        parse_liberty(text)
+    err = info.value
+    assert err.line is not None and err.col is not None
+    assert f"at {err.line}:{err.col}" in str(err)
+    return err
+
+
+_MUTATIONS = ["", "{", "}", "(", ";", ":", "x", "1e999", '"', "/*", "\n"]
+
+
+class TestLibertyErrorContract:
+    """Every malformed input raises ``LibertyError`` at a line and column."""
+
+    def test_round_trip_is_exact(self):
+        lib = nangate45()
+        text = write_liberty(lib)
+        parsed = parse_liberty(text)
+        assert parsed.cells() == lib.cells()
+        assert write_liberty(parsed) == text
+
+    @pytest.mark.parametrize(
+        "body, name",
+        [
+            ("    area : big;", "area"),
+            ('    drive_strength : "x2";', "drive_strength"),
+            ("    pin (a) { direction : input; capacitance : high; }", "capacitance"),
+        ],
+    )
+    def test_non_numeric_value(self, body, name):
+        err = _located(_one_cell(body))
+        assert name in err.message
+        assert (err.line, err.col) == (3, body.index(":", body.index(name)) + 3)
+
+    def test_non_integral_drive_strength(self):
+        err = _located(_one_cell("    drive_strength : 1.5;"))
+        assert (err.line, err.col) == (3, 22)
+
+    def test_non_finite_value(self):
+        err = _located(_one_cell("    area : 1e999;"))
+        assert "finite" in err.message
+
+    def test_overlong_integer(self):
+        err = _located(_one_cell("    area : " + "9" * 5000 + ";"))
+        assert (err.line, err.col) == (3, 12)
+
+    def test_deep_nesting_bounded(self):
+        err = _located("library (t) {\n" + "g () {\n" * 5000)
+        assert "nested" in err.message
+        assert err.line == 65
+
+    def test_duplicate_cell(self):
+        text = (
+            "library (t) {\n"
+            "  cell (X) { pin (o) { direction : output; } }\n"
+            "  cell (X) { pin (o) { direction : output; } }\n"
+            "}\n"
+        )
+        err = _located(text)
+        assert "duplicate cell 'X'" in err.message
+        assert (err.line, err.col) == (3, 3)
+
+    def test_trailing_tokens(self):
+        err = _located(_one_cell("") + "cell (Y) { }")
+        assert (err.line, err.col) == (7, 1)
+
+    def test_tokenizer_error_located(self):
+        err = _located("library (t) {\n  cell (X) { @ }\n}")
+        assert (err.line, err.col) == (2, 14)
+
+    def test_structural_errors_located(self):
+        assert _located("cell (X) { }").col == 1
+        err = _located(
+            "library (t) {\n  cell (X) { pin (a) { direction : input; } }\n}"
+        )
+        assert (err.line, err.col) == (2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutations_parse_or_raise_located(self, data):
+        """Random edits of a valid library: a library or a located error."""
+        text = write_liberty(nangate45())
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.integers(0, 8))
+            insert = data.draw(st.sampled_from(_MUTATIONS))
+            text = text[:at] + insert + text[at + cut :]
+        try:
+            lib = parse_liberty(text)
+        except LibertyError as err:
+            assert err.line is not None and err.col is not None
+        else:
+            assert isinstance(lib, TechLibrary)

@@ -231,20 +231,6 @@ class TestVectorMechanics:
         assert perf.counter("sta.vector_incremental") == 1
         assert perf.counter("sta.full") == 0
 
-    def test_structure_cache_shared_across_engines(self):
-        from repro.synth import soa
-
-        netlist, period = _mapped_benchmark("dynamic_node")
-        netlist = netlist.clone()
-        constraints = Constraints(clock_period=period)
-        perf.reset()
-        _engine(netlist, constraints, True).analyze(with_paths=False)
-        _engine(netlist, constraints, True).analyze(with_paths=False)
-        assert perf.counter("soa.structure_miss") == 1
-        assert perf.counter("soa.structure_hit") >= 1
-        stats = soa.structure_cache_stats()
-        assert stats["entries"] >= 1
-
     def test_power_fixpoint_early_exit_fires(self):
         """A feed-forward pipeline stabilises after one register sweep; the
         second comb sweep is skipped and the counter records it, in both
