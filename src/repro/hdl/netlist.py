@@ -21,6 +21,8 @@ changed since they last looked instead of re-deriving the world:
 * structural edits (``add_net``/``add_cell``/``remove_cell``/
   ``rewire_input``/``rewire_clock``) and :meth:`Netlist.rollback` log a
   ``structure`` event and invalidate the cached topological order;
+  inside a :meth:`Netlist.bulk_edit` scope they log one event together,
+  when the scope exits;
 * rebinding a cell's library cell (``cell.lib_cell = ...``) logs a
   ``resize`` event naming the cell — the hot path of gate sizing.
 
@@ -48,6 +50,7 @@ out-of-band edit cannot be undone.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 
@@ -244,6 +247,7 @@ class Netlist:
         self._topo_cache: list[Cell] | None = None
         self._max_uid_memo: int | None = None
         self._undo: _UndoLog | None = None
+        self._bulk_edited: bool | None = None  # None: no bulk-edit scope open
 
     # -- change journal -------------------------------------------------------
 
@@ -269,7 +273,31 @@ class Netlist:
     def _note_structure(self) -> None:
         self._topo_cache = None
         self._max_uid_memo = None
-        self._append_event("structure", None)
+        if self._bulk_edited is None:
+            self._append_event("structure", None)
+        else:
+            self._bulk_edited = True
+
+    @contextlib.contextmanager
+    def bulk_edit(self):
+        """Journal every structural edit made inside as one event.
+
+        The ``structure`` event is logged when the outermost scope exits
+        (normally or not), and only if something was edited.  The memos
+        an edit invalidates are still dropped per edit, so queries inside
+        the scope stay exact; journal observers must not sync inside it.
+        """
+        if self._bulk_edited is not None:
+            yield  # nested: the outermost scope logs the event
+            return
+        self._bulk_edited = False
+        try:
+            yield
+        finally:
+            edited = self._bulk_edited
+            self._bulk_edited = None
+            if edited:
+                self._append_event("structure", None)
 
     def _note_resize(self, cell_name: str) -> None:
         self._append_event("resize", cell_name)
@@ -378,7 +406,7 @@ class Netlist:
         if gate not in GENERIC_GATES:
             raise NetlistError(f"unknown generic gate {gate!r}")
         expected = GENERIC_GATES[gate]
-        if gate != "DFF" and len(inputs) != expected:
+        if len(inputs) != expected:
             raise NetlistError(
                 f"{gate} expects {expected} inputs, got {len(inputs)}"
             )
@@ -524,27 +552,58 @@ class Netlist:
         return order
 
     def validate(self) -> None:
-        """Check structural invariants; raises :class:`NetlistError` if broken."""
-        for name, net in self.nets.items():
-            if net.driver is not None and net.driver not in self.cells:
+        """Check structural invariants; raises :class:`NetlistError` if broken.
+
+        One pass over the nets checks the driver and sink backlinks; one
+        pass over the cells checks output drivers and input backlinks
+        while it collects, per combinational cell (by its index in cell
+        order), the combinational cells that read it.  A Kahn count over
+        those int lists then detects combinational cycles, exactly where
+        :meth:`topological_cells` would raise.
+        """
+        cells = self.cells
+        nets = self.nets
+        for name, net in nets.items():
+            if net.driver is not None and net.driver not in cells:
                 raise NetlistError(f"net {name!r} driven by missing cell {net.driver!r}")
             for sink in net.sinks:
-                if sink not in self.cells:
+                if sink not in cells:
                     raise NetlistError(f"net {name!r} sinks missing cell {sink!r}")
-                cell = self.cells[sink]
+                cell = cells[sink]
                 if name not in cell.inputs and cell.attrs.get("clock") != name:
                     raise NetlistError(
                         f"net {name!r} lists sink {sink!r} that does not read it"
                     )
-        for name, cell in self.cells.items():
-            if self.nets[cell.output].driver != name:
+        index = dict(zip(cells, range(len(cells))))
+        is_comb = [cell.gate != "DFF" for cell in cells.values()]
+        # per cell index: combinational readers (one entry per input pin)
+        # and the number of combinational driver pins not yet placed
+        readers: list[list[int]] = [[] for _ in is_comb]
+        indegree = [0] * len(is_comb)
+        for i, (name, cell) in enumerate(cells.items()):
+            if nets[cell.output].driver != name:
                 raise NetlistError(f"cell {name!r} output net driver mismatch")
+            comb = is_comb[i]
             for net_name in cell.inputs:
-                if name not in self.nets[net_name].sinks:
+                net = nets[net_name]
+                if name not in net.sinks:
                     raise NetlistError(
                         f"cell {name!r} input {net_name!r} missing sink backlink"
                     )
-        self.topological_cells()  # raises on combinational cycles
+                drv = index.get(net.driver)
+                if comb and drv is not None and is_comb[drv]:
+                    readers[drv].append(i)
+                    indegree[i] += 1
+        ready = [i for i, comb in enumerate(is_comb) if comb and not indegree[i]]
+        placed = 0
+        while ready:
+            placed += 1
+            for reader in readers[ready.pop()]:
+                indegree[reader] -= 1
+                if not indegree[reader]:
+                    ready.append(reader)
+        if placed != sum(is_comb):
+            raise NetlistError("combinational cycle detected")
 
     def stats(self) -> dict:
         """Summary statistics used by reports and CircuitMentor features."""
@@ -623,11 +682,13 @@ class Netlist:
         state["_journal_base"] = 0
         state["_topo_cache"] = None
         state["_undo"] = None
+        state["_bulk_edited"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         state.setdefault("_max_uid_memo", None)
         state.setdefault("_undo", None)
+        state.setdefault("_bulk_edited", None)
         self.__dict__.update(state)
         self._uid = itertools.count(self._max_uid() + 1)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .timing import TimingEngine, TimingReport
 
 __all__ = ["QoRSnapshot", "render_timing_report", "render_area_report", "render_qor_report"]
@@ -47,9 +49,14 @@ class QoRSnapshot:
 
 
 def snapshot(design: str, engine: TimingEngine, report: TimingReport) -> QoRSnapshot:
-    """Build a :class:`QoRSnapshot` from an analyzed engine."""
-    netlist = engine.netlist
-    stats = netlist.stats()
+    """Build a :class:`QoRSnapshot` from an analyzed engine.
+
+    Counts come from the engine's SoA lowering instead of a walk over
+    the netlist objects: a net's fanout as :meth:`Netlist.fanout` counts
+    it is its distinct sinks (its pair segment) plus the output port.
+    """
+    s = engine.structure()
+    fanouts = np.diff(s.pair_ptr) + s.net_is_output
     return QoRSnapshot(
         design=design,
         wns=report.wns,
@@ -57,9 +64,9 @@ def snapshot(design: str, engine: TimingEngine, report: TimingReport) -> QoRSnap
         tns=report.tns,
         area=round(engine.total_area(), 2),
         num_violations=report.num_violations,
-        num_cells=stats["cells"],
-        num_registers=stats["sequential"],
-        max_fanout=stats["max_fanout"],
+        num_cells=s.num_cells,
+        num_registers=len(s.seq_cells),
+        max_fanout=int(fanouts.max(initial=0)),
         leakage_nw=round(engine.total_leakage(), 1),
         dynamic_uw=round(engine.dynamic_power(), 1),
     )

@@ -901,10 +901,18 @@ class SoAKernel:
         cells appear in insertion order, and const rows carry area 0.0
         (adding exact ``+0.0`` terms where the scalar fold skips).
         """
-        areas = self.params[:, _AREA][self.cell_row]
-        if not areas.size:
+        return self._committed_total(_AREA)
+
+    def committed_leakage(self) -> float:
+        """Total leakage (nW) under the committed bindings; see
+        :meth:`committed_area` for why it equals the strict fold."""
+        return self._committed_total(_LEAK)
+
+    def _committed_total(self, column: int) -> float:
+        values = self.params[:, column][self.cell_row]
+        if not values.size:
             return 0.0
-        return float(np.cumsum(areas)[-1])
+        return float(np.cumsum(values)[-1])
 
     def endpoint_arrays(self):
         """Endpoint slacks/required in scalar construction order.

@@ -21,7 +21,23 @@ __all__ = ["TclError", "TclInterpreter"]
 
 
 class TclError(ValueError):
-    """Raised on syntax errors or unknown commands."""
+    """Raised on syntax errors or unknown commands.
+
+    :meth:`TclInterpreter.eval_script` sets the 1-based ``line`` and
+    ``col`` where the failing command starts in the script (also
+    appended to the message); both are None when no position applies.
+    """
+
+    def __init__(
+        self, message: str, line: int | None = None, col: int | None = None
+    ) -> None:
+        self.message = message
+        self.line = line
+        self.col = col
+        super().__init__(message if line is None else f"{message} at {line}:{col}")
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line, self.col)
 
 
 CommandFunc = Callable[["TclInterpreter", list[str]], str]
@@ -44,30 +60,62 @@ class TclInterpreter:
     # -- script evaluation ------------------------------------------------------
 
     def eval_script(self, script: str) -> list[tuple[str, str]]:
-        """Run ``script``; returns a list of (command line, result) pairs."""
+        """Run ``script``; returns a list of (command line, result) pairs.
+
+        A :class:`TclError` escaping a command gets the position where
+        that command starts.
+        """
         results = []
-        for line in self._logical_lines(script):
-            result = self.eval_line(line)
-            results.append((line, result))
+        for command, line, col in self._commands(script):
+            try:
+                result = self.eval_line(command)
+            except TclError as exc:
+                if exc.line is not None:
+                    raise
+                located = type(exc)(exc.message, line, col)
+                raise located.with_traceback(exc.__traceback__) from None
+            results.append((command, result))
         return results
 
-    def _logical_lines(self, script: str) -> list[str]:
-        merged: list[str] = []
+    def _commands(self, script: str) -> list[tuple[str, int, int]]:
+        """``(command, line, col)`` for each command of ``script``.
+
+        Backslash continuations join physical lines and ``;`` splits
+        them; ``line``/``col`` locate each command's first character in
+        the physical script.
+        """
+        commands: list[tuple[str, int, int]] = []
         pending = ""
-        for raw in script.splitlines():
+        starts: list[tuple[int, int]] = []  # (offset in pending, line number)
+
+        def locate(offset: int) -> tuple[int, int]:
+            start, number = next(
+                (start, number) for start, number in reversed(starts)
+                if start <= offset
+            )
+            return number, offset - start + 1
+
+        for number, raw in enumerate(script.splitlines(), 1):
             line = raw.rstrip()
+            starts.append((len(pending), number))
             if line.endswith("\\"):
                 pending += line[:-1] + " "
                 continue
             pending += line
+            offset = 0
             for part in self._split_semicolons(pending):
-                part = part.strip()
-                if part and not part.startswith("#"):
-                    merged.append(part)
+                command = part.strip()
+                if command and not command.startswith("#"):
+                    lead = len(part) - len(part.lstrip())
+                    commands.append((command, *locate(offset + lead)))
+                offset += len(part) + 1  # the part and its ";"
             pending = ""
-        if pending.strip() and not pending.strip().startswith("#"):
-            merged.append(pending.strip())
-        return merged
+            starts = []
+        command = pending.strip()
+        if command and not command.startswith("#"):
+            lead = len(pending) - len(pending.lstrip())
+            commands.append((command, *locate(lead)))
+        return commands
 
     @staticmethod
     def _split_semicolons(line: str) -> list[str]:

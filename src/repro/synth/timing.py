@@ -157,6 +157,13 @@ class TimingEngine:
         # structure-of-arrays analysis state; None until the first rebuild
         self._kernel: soa.SoAKernel | None = None
 
+    def structure(self) -> soa.SoAStructure:
+        """The SoA lowering of the current netlist, analyzing it if stale."""
+        self._sync()
+        if self._kernel is None:
+            self.analyze(with_paths=False)
+        return self._kernel.s
+
     @property
     def kernel(self) -> soa.SoAKernel | None:
         """The SoA kernel of the last analysis (None before the first).
@@ -553,8 +560,10 @@ class TimingEngine:
         )
 
     def total_leakage(self) -> float:
-        """Leakage power in nW."""
+        """Leakage power in nW (kernel-served like :meth:`total_area`)."""
         self._sync()
+        if self._kernel is not None and not self._pending_resizes:
+            return self._kernel.committed_leakage()
         return strict_sum(
             self._bound_of(c).leakage
             for c in self.netlist.cells.values()

@@ -1,8 +1,13 @@
 """Unit tests for netlist data structures."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
 
 from repro.hdl.netlist import Netlist, NetlistError
+
+from ..synth.test_lowering_parity import generic_netlist
 
 
 def make_inverter():
@@ -53,6 +58,14 @@ class TestConstruction:
         nl.add_net("a")
         with pytest.raises(NetlistError):
             nl.add_cell("FROB", ["a"], "y")
+
+    @pytest.mark.parametrize("data", [[], ["a", "b"]])
+    def test_dff_needs_exactly_one_data_input(self, data):
+        nl = Netlist()
+        nl.add_net("clk", is_input=True, is_clock=True)
+        with pytest.raises(NetlistError, match="DFF expects 1 inputs"):
+            nl.add_cell("DFF", data, "q", clock="clk")
+        assert not nl.cells
 
     def test_dff_registers_clock_sink(self):
         nl = Netlist()
@@ -148,3 +161,68 @@ class TestCloneAndValidate:
         nl.nets["a"].sinks.discard("u1")
         with pytest.raises(NetlistError):
             nl.validate()
+
+
+def _cyclic_pair():
+    nl = Netlist()
+    nl.add_net("x")
+    nl.add_net("y")
+    nl.add_cell("NOT", ["x"], "y", name="a")
+    nl.add_cell("NOT", ["y"], "x", name="b")
+    return nl
+
+
+class TestValidateErrors:
+    """Each invariant ``validate`` checks keeps its message."""
+
+    def _broken(self, edit):
+        nl = make_inverter()
+        nl.add_net("z", is_output=True)
+        nl.add_cell("BUF", ["a"], "z", name="u2")
+        edit(nl)
+        return nl
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda nl: setattr(nl.nets["z"], "driver", "ghost"),
+             "net 'z' driven by missing cell 'ghost'"),
+            (lambda nl: nl.nets["a"].sinks.add("ghost"),
+             "net 'a' sinks missing cell 'ghost'"),
+            (lambda nl: nl.nets["y"].sinks.add("u2"),
+             "net 'y' lists sink 'u2' that does not read it"),
+            (lambda nl: setattr(nl.cells["u2"], "output", "y"),
+             "cell 'u2' output net driver mismatch"),
+            (lambda nl: nl.nets["a"].sinks.discard("u1"),
+             "cell 'u1' input 'a' missing sink backlink"),
+        ],
+    )
+    def test_broken_invariant_message(self, edit, message):
+        with pytest.raises(NetlistError) as exc:
+            self._broken(edit).validate()
+        assert str(exc.value) == message
+
+    def test_cycle_message(self):
+        with pytest.raises(NetlistError) as exc:
+            _cyclic_pair().validate()
+        assert str(exc.value) == "combinational cycle detected"
+
+    def test_validate_does_not_sort(self):
+        nl = _cyclic_pair()
+        nl.remove_cell("b")
+        with mock.patch.object(Netlist, "topological_cells") as topo:
+            nl.validate()
+        topo.assert_not_called()
+
+    @settings(max_examples=80, deadline=None)
+    @given(generic_netlist())
+    def test_cycle_check_agrees_with_topological_sort(self, netlist):
+        def outcome(check):
+            try:
+                check()
+            except NetlistError as exc:
+                return str(exc)
+            return None
+
+        sorted_ok = outcome(netlist.clone().topological_cells)
+        assert outcome(netlist.validate) == sorted_ok

@@ -16,4 +16,6 @@ imports this package.
   area-recovery and fanout-buffering passes, and clone-snapshot retiming.
 * :mod:`.gnn` — per-graph metric-learning epochs and the O(n^2) loop
   multi-similarity loss.
+* :mod:`.techmap` — cleanup passes that rescan the whole netlist every
+  round, journaling one event per edit.
 """

@@ -13,8 +13,9 @@ reproduce bit for bit:
 * trials — every lane applied through the change journal, measured with
   the incremental update and reverted.
 
-It never builds a kernel, so ``total_area`` takes the engine's Python fold
-and ``dynamic_power`` walks every net's load.
+It never builds a kernel, so ``total_area`` and ``total_leakage`` take the
+engine's Python folds, ``dynamic_power`` walks every net's load, and the
+QoR snapshot counts cells and fanouts on a lowering of its own.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import heapq
 
 from repro import perf
+from repro.synth.soa import SoAStructure
 from repro.synth.timing import PathPoint, TimingEngine, TimingPath, strict_sum
 
 _CONSTS = ("CONST0", "CONST1")
@@ -65,6 +67,9 @@ class ScalarTimingEngine(TimingEngine):
         self._sync()
         self._fold()
         return self._build_report(with_paths)
+
+    def structure(self) -> SoAStructure:
+        return SoAStructure(self.netlist)
 
     def trial_cps(self) -> float:
         self._sync()

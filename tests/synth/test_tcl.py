@@ -1,8 +1,10 @@
 """Tests for the Tcl-subset interpreter."""
 
+import pickle
+
 import pytest
 
-from repro.synth import TclError, TclInterpreter
+from repro.synth import DCShell, DCShellError, TclError, TclInterpreter
 
 
 @pytest.fixture
@@ -93,3 +95,62 @@ class TestExpr:
     def test_dangerous_expression_rejected(self, interp):
         with pytest.raises(TclError):
             interp.eval_line("expr __import__('os')")
+
+
+class TestErrorLocation:
+    """Script errors name the line and column where the command starts."""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("set x {abc", "unmatched brace"),
+            ('puts "abc', "unmatched quote"),
+            ("set x [expr 1", "unmatched bracket"),
+            ("puts ${abc", "unmatched ${"),
+            ("bogus_cmd -x", "invalid command name 'bogus_cmd'"),
+            ("puts $missing", "can't read 'missing': no such variable"),
+        ],
+    )
+    def test_each_error_kind_located(self, interp, command, message):
+        with pytest.raises(TclError) as exc:
+            interp.eval_script(f"set a 1\n\n  {command}\nset b 2")
+        err = exc.value
+        assert (err.message, err.line, err.col) == (message, 3, 3)
+        assert str(err) == f"{message} at 3:3"
+
+    def test_line_after_continuation(self, interp):
+        script = "set a \\\n  1\nset b \\\n  2; bogus"
+        with pytest.raises(TclError) as exc:
+            interp.eval_script(script)
+        assert (exc.value.line, exc.value.col) == (4, 6)
+
+    def test_column_after_semicolon(self, interp):
+        with pytest.raises(TclError) as exc:
+            interp.eval_script("set a 1;  set b 2; nope")
+        assert (exc.value.line, exc.value.col) == (1, 20)
+
+    def test_nested_command_error_located_at_outer_command(self, interp):
+        with pytest.raises(TclError) as exc:
+            interp.eval_script("set a 1\nset b [nope 2]")
+        assert (exc.value.line, exc.value.col) == (2, 1)
+
+    def test_eval_line_raises_unlocated(self, interp):
+        with pytest.raises(TclError) as exc:
+            interp.eval_line("nope")
+        assert exc.value.line is None and str(exc.value) == "invalid command name 'nope'"
+
+    def test_location_survives_pickling(self, interp):
+        with pytest.raises(TclError) as exc:
+            interp.eval_script("\nnope")
+        clone = pickle.loads(pickle.dumps(exc.value))
+        assert (clone.message, clone.line, clone.col, str(clone)) == (
+            exc.value.message, 2, 1, str(exc.value)
+        )
+
+    def test_dcshell_error_located(self):
+        result = DCShell().run_script("set a 1\ncompile")
+        assert not result.success
+        assert result.error == "compile: no design loaded at 2:1"
+        with pytest.raises(DCShellError) as exc:
+            DCShell().interp.eval_script("\n  link")
+        assert (exc.value.line, exc.value.col) == (2, 3)
